@@ -759,8 +759,8 @@ impl MinimizedSchedule {
     }
 }
 
-/// Cost counters from one minimization, for comparing the snapshot-forked
-/// shrink against full-replay probing on the same seed.
+/// Cost counters from one minimization: how much simulation the
+/// snapshot-forked shrink actually paid for.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MinimizeStats {
     /// Candidate schedules simulated, the initial full run included.
@@ -802,67 +802,9 @@ fn probe(
             }
         }
         // A panicked replay's event count is unknown (the report never
-        // materialized); count it as zero on both sides of a comparison.
+        // materialized); count it as zero.
         Err(panic) => (Err(Box::new((panic_message(panic.as_ref()), None))), 0),
     }
-}
-
-/// Shrinks a failing seed's fault schedule to a 1-minimal reproducer by
-/// replaying every candidate schedule from `t = 0`.
-///
-/// This is the pre-snapshot algorithm, kept as the baseline the forked
-/// shrink ([`minimize_faults`]) is benchmarked and regression-tested
-/// against; both produce identical minimal schedules.
-pub fn minimize_faults_replay(cfg: &ChaosConfig) -> Option<MinimizedSchedule> {
-    minimize_faults_replay_with_stats(cfg).0
-}
-
-/// [`minimize_faults_replay`] plus the probe-cost counters.
-pub fn minimize_faults_replay_with_stats(
-    cfg: &ChaosConfig,
-) -> (Option<MinimizedSchedule>, MinimizeStats) {
-    let mut stats = MinimizeStats::default();
-    let full = run_chaos(cfg);
-    stats.probes = 1;
-    stats.simulated_events = full.metrics.events_processed;
-    let mut violation = match full.check_invariants() {
-        Ok(()) => return (None, stats),
-        Err(v) => v,
-    };
-    let mut faults = full.faults.clone();
-    let mut report = full;
-    let mut shrunk = true;
-    while shrunk && !faults.is_empty() {
-        shrunk = false;
-        for i in 0..faults.len() {
-            let mut candidate = faults.clone();
-            candidate.remove(i);
-            let (verdict, events) = probe(cfg, &candidate);
-            stats.probes += 1;
-            stats.simulated_events += events;
-            if let Err(err) = verdict {
-                let (v, r) = *err;
-                faults = candidate;
-                violation = v;
-                // A panicking candidate produced no report; keep the last
-                // completed failing one for the leak records.
-                if let Some(r) = r {
-                    report = r;
-                }
-                shrunk = true;
-                break;
-            }
-        }
-    }
-    (
-        Some(MinimizedSchedule {
-            seed: cfg.seed,
-            faults,
-            violation,
-            report,
-        }),
-        stats,
-    )
 }
 
 /// Everything needed to branch a probe from the instant just before one
@@ -920,7 +862,8 @@ fn run_capturing_snapshots(
 /// equivalence (see `DESIGN.md` §13) guarantees the forked probe's event
 /// stream, metrics and fingerprint match a from-scratch replay of the
 /// candidate schedule, so this produces the same minimal schedule as
-/// [`minimize_faults_replay`] while simulating strictly fewer events.
+/// replaying every candidate from `t = 0` while simulating strictly fewer
+/// events.
 /// The shrink is deterministic — candidates are probed in order.
 pub fn minimize_faults(cfg: &ChaosConfig) -> Option<MinimizedSchedule> {
     minimize_faults_with_stats(cfg).0

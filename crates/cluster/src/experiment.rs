@@ -13,6 +13,7 @@ use ignem_simcore::telemetry::FlightRecorder;
 use ignem_simcore::time::SimDuration;
 use ignem_simcore::units::GB;
 use ignem_workloads::jobs::{sort_job, wordcount_job};
+use ignem_workloads::stream::{replay_files, JobArrival, ReplayConfig, ReplayStream};
 use ignem_workloads::swim::{SwimJob, SwimTrace};
 use ignem_workloads::tpcds::HiveQuery;
 
@@ -314,6 +315,49 @@ pub fn run_hive(cfg: &ClusterConfig, mode: FsMode, queries: &[HiveQuery]) -> Run
         });
     }
     World::new(cfg.clone(), mode, &files, plans, vec![]).run()
+}
+
+/// Seed of [`run_replay`]'s arrival stream — arbitrary but fixed, so a
+/// replayed world's job and event counts depend only on the cluster
+/// configuration and the simulated span.
+const REPLAY_STREAM_SEED: u64 = 0x5CA1_E001;
+
+/// Jobs a [`run_replay`] of `days` simulated days admits: the Google
+/// trace's default arrival rate times the span.
+pub fn replay_jobs(days: u64) -> u64 {
+    (ReplayConfig::default().arrivals_per_sec * (days * 86_400) as f64).round() as u64
+}
+
+/// Adapter from a streamed [`JobArrival`] to the world's planned-job
+/// shape. A plain `fn` so the mapped stream stays `Clone` (the arrival
+/// source is cloned into world snapshots).
+fn arrival_plan(a: JobArrival) -> PlannedJob {
+    PlannedJob::single(a.name, a.submit, a.spec)
+}
+
+/// Replays `days` of Google-trace arrivals (the paper's §II datacenter)
+/// over `cfg`'s cluster with the cluster-wide heartbeat sweep
+/// ([`ClusterConfig::heartbeat_sweep`]). The DFS namespace is preloaded
+/// (file creation draws from the world rng); the jobs themselves are
+/// admitted lazily from a [`ReplayStream`], so no full job plan ever
+/// materialises. Every one of the [`replay_jobs`] admitted jobs should
+/// appear in the returned `jobs`.
+pub fn run_replay(cfg: &ClusterConfig, mode: FsMode, days: u64) -> RunMetrics {
+    let jobs = replay_jobs(days);
+    let rcfg = ReplayConfig {
+        jobs: Some(jobs),
+        ..ReplayConfig::default()
+    };
+    let cfg = ClusterConfig {
+        heartbeat_sweep: true,
+        ..cfg.clone()
+    };
+    let files = replay_files(&rcfg, jobs);
+    let stream = ReplayStream::new(rcfg, REPLAY_STREAM_SEED)
+        .map(arrival_plan as fn(JobArrival) -> PlannedJob);
+    let world = World::new(cfg, mode, &files, vec![], vec![]).with_arrivals(Box::new(stream));
+    drop(files);
+    world.run()
 }
 
 /// The related-work comparison workload (paper §V): `sets` distinct file

@@ -47,7 +47,7 @@ pub mod prelude {
     pub use crate::metrics::{
         BlockRead, JobResult, LedgerEntry, PlanResult, ReadKind, ResidencyLedger, RunMetrics,
     };
-    pub use crate::sanitizer::{bisect_divergence, double_run, Divergence, DoubleRun};
+    pub use crate::sanitizer::{bisect_divergence, Divergence, DoubleRun};
     pub use crate::sweep::{default_jobs, parallel_map, sweep};
     pub use crate::world::{ArrivalSource, Fault, PlannedJob, World};
 }

@@ -4,8 +4,8 @@
 //!
 //! The static rules in `ignem-lint` ban the *patterns* that break
 //! same-seed replay; this module checks the *property* itself at runtime.
-//! Two worlds built by the same closure are run through
-//! [`World::run_recorded`], and each event stream is folded into a
+//! [`double_run_forked`] runs two worlds built by the same closure, and
+//! each event stream is folded into a
 //! per-step FNV-1a hash chain over the events' canonical JSON
 //! ([`EventRecord::to_json`] is float-free, so the chain is bit-stable
 //! across platforms). Because the chain at step `i` commits to the whole
@@ -192,30 +192,6 @@ impl DoubleRun {
     }
 }
 
-/// Builds a world twice with `build`, runs both with `capacity`-event
-/// flight recorders, and compares the telemetry streams step by step.
-///
-/// `build` must be a pure function of its captured configuration — any
-/// divergence between the two runs is, by construction, nondeterminism in
-/// the simulator (or in the builder), which is exactly what this check
-/// exists to catch.
-pub fn double_run<F>(build: F, capacity: usize) -> DoubleRun
-where
-    F: Fn() -> World,
-{
-    let (metrics_a, events_a, dropped_a) = build().run_recorded(capacity);
-    let (metrics_b, events_b, dropped_b) = build().run_recorded(capacity);
-    let divergence = bisect_divergence(&events_a, &events_b);
-    DoubleRun {
-        metrics_a,
-        metrics_b,
-        events_a,
-        events_b,
-        dropped: (dropped_a, dropped_b),
-        divergence,
-    }
-}
-
 /// A [`DoubleRun`] produced by [`double_run_forked`], plus the outcome of
 /// the snapshot-forked suffix re-check.
 #[derive(Debug)]
@@ -237,14 +213,22 @@ pub struct ForkedDoubleRun {
     pub suffix_consistent: bool,
 }
 
-/// [`double_run`], but run A is driven step by step with a
-/// [`World::snapshot`] taken every `stride` emitted events. When the two
-/// streams diverge, the checker does **not** replay run A from `t = 0` to
-/// study the split: it restores the latest snapshot at or before the
-/// diverging event and re-simulates only the suspect suffix, confirming
-/// the suffix reproduces run A's tail (snapshot equivalence). When the
-/// runs agree, the same re-check audits the final window so the
-/// equivalence property is exercised on every invocation.
+/// Builds a world twice with `build`, runs both with `capacity`-event
+/// flight recorders, and compares the telemetry streams step by step.
+///
+/// `build` must be a pure function of its captured configuration — any
+/// divergence between the two runs is, by construction, nondeterminism in
+/// the simulator (or in the builder), which is exactly what this check
+/// exists to catch.
+///
+/// Run A is driven step by step with a [`World::snapshot`] taken every
+/// `stride` emitted events. When the two streams diverge, the checker does
+/// **not** replay run A from `t = 0` to study the split: it restores the
+/// latest snapshot at or before the diverging event and re-simulates only
+/// the suspect suffix, confirming the suffix reproduces run A's tail
+/// (snapshot equivalence). When the runs agree, the same re-check audits
+/// the final window so the equivalence property is exercised on every
+/// invocation.
 ///
 /// # Panics
 ///

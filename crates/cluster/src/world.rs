@@ -108,10 +108,8 @@ use ignem_simcore::rng::SimRng;
 use ignem_simcore::stats::TimeWeighted;
 use ignem_simcore::telemetry::{
     Event as TelemetryEvent, EventRecord, EventSink, FlightRecorder, ReadClass, Telemetry,
-    TraceAdapter,
 };
 use ignem_simcore::time::{SimDuration, SimTime};
-use ignem_simcore::trace::TraceSink;
 use ignem_storage::disk::{Completion, Disk, IoKind, RequestId};
 use ignem_storage::memstore::{MemStore, Residency};
 
@@ -704,16 +702,6 @@ impl World {
         self.arrivals = Some(source);
         self.pull_next_arrival();
         self
-    }
-
-    /// Installs a legacy string-trace sink; every major state transition
-    /// (job lifecycle, migrations, evictions, faults) is recorded with its
-    /// simulated time. Implemented as a [`TraceAdapter`] over the typed
-    /// event stream, so it sees exactly what
-    /// [`with_telemetry`](Self::with_telemetry) sinks see. Tracing is free
-    /// when no sink is installed.
-    pub fn with_trace(self, sink: Box<dyn TraceSink>) -> Self {
-        self.with_telemetry(Box::new(TraceAdapter::new(sink)))
     }
 
     /// Installs a typed event sink (e.g. a

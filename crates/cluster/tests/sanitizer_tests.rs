@@ -1,16 +1,19 @@
 //! Determinism sanitizer integration tests: double-run real worlds and
-//! assert bit-identical event streams, then prove the bisector pinpoints
+//! assert bit-identical event streams (with the snapshot-forked suffix
+//! re-check reproducing run A's tail), then prove the bisector pinpoints
 //! an injected divergence in a real recorded stream.
 
 use ignem_cluster::chaos::{fingerprint, generate_faults, workload, ChaosConfig};
 use ignem_cluster::prelude::*;
-use ignem_cluster::sanitizer::{bisect_divergence, double_run};
+use ignem_cluster::sanitizer::{bisect_divergence, double_run_forked};
 use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
 use ignem_simcore::rng::SimRng;
 use ignem_simcore::time::SimDuration;
 use ignem_simcore::units::{MB, MIB};
 
 const RECORDER_CAP: usize = 1 << 20;
+/// Emitted events between run A's snapshots.
+const SNAPSHOT_STRIDE: usize = 64;
 
 fn default_world() -> World {
     let files: Vec<(String, u64)> = (0..4)
@@ -61,7 +64,9 @@ fn chaos_world(cfg: &ChaosConfig) -> World {
 
 #[test]
 fn double_run_defaults_is_deterministic() {
-    let result = double_run(default_world, RECORDER_CAP);
+    let forked = double_run_forked(default_world, RECORDER_CAP, SNAPSHOT_STRIDE);
+    assert!(forked.suffix_consistent, "forked suffix must match run A");
+    let result = forked.run;
     assert!(
         !result.events_a.is_empty(),
         "expected a non-empty telemetry stream"
@@ -81,7 +86,9 @@ fn double_run_chaos_seed_is_deterministic() {
         seed: 304,
         ..ChaosConfig::default()
     };
-    let result = double_run(|| chaos_world(&cfg), RECORDER_CAP);
+    let forked = double_run_forked(|| chaos_world(&cfg), RECORDER_CAP, SNAPSHOT_STRIDE);
+    assert!(forked.suffix_consistent, "forked suffix must match run A");
+    let result = forked.run;
     assert!(
         !result.events_a.is_empty(),
         "expected a non-empty telemetry stream"
@@ -103,7 +110,9 @@ fn double_run_crash_seed_is_deterministic() {
         crashes: 2,
         ..ChaosConfig::default()
     };
-    let result = double_run(|| chaos_world(&cfg), RECORDER_CAP);
+    let forked = double_run_forked(|| chaos_world(&cfg), RECORDER_CAP, SNAPSHOT_STRIDE);
+    assert!(forked.suffix_consistent, "forked suffix must match run A");
+    let result = forked.run;
     assert!(
         !result.events_a.is_empty(),
         "expected a non-empty telemetry stream"

@@ -358,14 +358,14 @@ fn speculation_rescues_stragglers() {
 
 #[test]
 fn trace_records_lifecycle() {
-    use ignem_simcore::trace::SharedVecSink;
+    use ignem_simcore::telemetry::{Event, FlightRecorder};
     let files = files_of(256 * MB, 2, "/in");
     let plan = vec![PlannedJob::single(
         "traced",
         SimDuration::from_secs(1),
         job(&files, true),
     )];
-    let (sink, entries) = SharedVecSink::new();
+    let recorder = FlightRecorder::new(1 << 16);
     let world = World::new(
         ClusterConfig::default(),
         FsMode::Ignem,
@@ -373,29 +373,30 @@ fn trace_records_lifecycle() {
         plan,
         vec![],
     )
-    .with_trace(Box::new(sink));
+    .with_telemetry(Box::new(recorder.clone()));
     let m = world.run();
     assert_eq!(m.plans.len(), 1);
-    let entries = entries.borrow();
-    assert!(!entries.is_empty());
+    assert_eq!(recorder.dropped(), 0);
+    let events = recorder.events();
+    assert!(!events.is_empty());
     // Times are nondecreasing and all expected categories appear.
-    for w in entries.windows(2) {
+    for w in events.windows(2) {
         assert!(w[0].at <= w[1].at);
     }
     for cat in ["job", "task", "migration"] {
         assert!(
-            entries.iter().any(|e| e.category == cat),
+            events.iter().any(|e| e.event.category() == cat),
             "missing category {cat}"
         );
     }
     // Submission precedes completion.
-    let submit = entries
+    let submit = events
         .iter()
-        .position(|e| e.category == "job" && e.message.contains("submitted"))
+        .position(|e| matches!(e.event, Event::JobSubmitted { .. }))
         .expect("submit record");
-    let finish = entries
+    let finish = events
         .iter()
-        .position(|e| e.category == "job" && e.message.contains("finished"))
+        .position(|e| matches!(e.event, Event::JobCompleted { .. }))
         .expect("finish record");
     assert!(submit < finish);
 }

@@ -12,9 +12,9 @@
 //! * [`flow`] — fluid-flow processor-sharing resources with concurrency
 //!   degradation ([`flow::FlowResource`]): the disk/NIC model.
 //! * [`stats`] — online stats, CDFs, histograms, time-weighted series.
-//! * [`trace`] — legacy string tracing ([`trace::TraceSink`]).
+//! * [`trace`] — category-filtered stderr sink ([`trace::StderrSink`]).
 //! * [`telemetry`] — typed event stream ([`telemetry::Event`]), flight
-//!   recorder with JSONL export, adapter onto the legacy trace sinks.
+//!   recorder with JSONL export.
 //! * [`span`] — causal span trees reconstructed from recorded streams,
 //!   with a per-category critical-path extractor.
 //! * [`metrics`] — sim-time windowed counters/gauges/histograms

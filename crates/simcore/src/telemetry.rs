@@ -1,17 +1,14 @@
 //! Structured telemetry: a typed event stream for the whole simulator.
 //!
-//! The legacy [`trace`](crate::trace) module carries free-form strings —
-//! fine for eyeballing, useless for querying. This module replaces it as
-//! the primary instrumentation path: hosts emit typed [`Event`]s through a
-//! shared [`Telemetry`] handle, each stamped with the simulated time and a
-//! monotonic sequence number ([`EventRecord`]). Sinks implement
-//! [`EventSink`]; the built-in ones are
+//! Hosts emit typed [`Event`]s through a shared [`Telemetry`] handle, each
+//! stamped with the simulated time and a monotonic sequence number
+//! ([`EventRecord`]). Sinks implement [`EventSink`]; the built-in ones are
 //!
 //! * [`FlightRecorder`] — a bounded ring buffer with JSONL export, cheap
 //!   enough to leave on for a whole run and inspect afterwards;
-//! * [`TraceAdapter`] — formats typed events back into the legacy
-//!   `(time, category, message)` shape so every existing
-//!   [`TraceSink`](crate::trace::TraceSink) keeps working unchanged.
+//! * [`StderrSink`](crate::trace::StderrSink) — prints each record as it
+//!   arrives, optionally filtered by [`Event::category`], for ad-hoc
+//!   debugging.
 //!
 //! Emission is zero-cost when no sink is installed: a disabled
 //! [`Telemetry`] handle is a `None` check and the event constructor
@@ -39,7 +36,6 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::time::SimTime;
-use crate::trace::TraceSink;
 
 /// One end of a control-plane message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -438,7 +434,8 @@ impl Event {
         }
     }
 
-    /// Legacy trace category (the tag the string-based sinks filtered on).
+    /// Coarse category tag (`"job"`, `"task"`, `"migration"`, …) that
+    /// [`StderrSink`](crate::trace::StderrSink) filters on.
     pub fn category(&self) -> &'static str {
         match self {
             Event::JobSubmitted { .. }
@@ -476,122 +473,6 @@ impl Event {
             | Event::RereplicationDeferred { .. }
             | Event::FaultInjected { .. }
             | Event::FaultHealed { .. } => "fault",
-        }
-    }
-
-    /// Renders the event as the legacy human-readable trace message.
-    pub fn legacy_message(&self) -> String {
-        match self {
-            Event::JobSubmitted {
-                job, name, stage, ..
-            } => format!("{name} submitted as job {job} (stage {stage})"),
-            Event::JobScheduled { job } => format!("job {job} became schedulable"),
-            Event::JobCompleted { job, duration_us } => {
-                format!("job {job} finished after {:.2}s", *duration_us as f64 / 1e6)
-            }
-            Event::TaskAssigned { task, job, node } => {
-                format!("task {task} of job {job} assigned to node{node}")
-            }
-            Event::TaskStarted { task, job, node } => {
-                format!("task {task} of job {job} launched on node{node}")
-            }
-            Event::TaskFinished { task, job, node } => {
-                format!("task {task} of job {job} finished on node{node}")
-            }
-            Event::TaskSpeculated { task, job } => {
-                format!("straggler task {task} of job {job} speculated")
-            }
-            Event::BlockRead {
-                task,
-                block,
-                node,
-                bytes,
-                class,
-                duration_us,
-                ..
-            } => format!(
-                "task {task} read block {block} ({bytes} bytes) from {} via node{node} in {:.3}s",
-                class.tag(),
-                *duration_us as f64 / 1e6
-            ),
-            Event::MigrationRejected { job, reason } => {
-                format!("migrate request for job {job} rejected: {reason}")
-            }
-            Event::MigrationAssigned {
-                job,
-                block,
-                node,
-                bytes,
-            } => format!("job {job}: block {block} assigned to node{node} ({bytes} bytes)"),
-            Event::MigrationEnqueued {
-                node,
-                job,
-                block,
-                bytes,
-            } => format!("node{node} queues block {block} for job {job} ({bytes} bytes)"),
-            Event::MigrationStarted { node, block, bytes } => {
-                format!("node{node} starts migrating block {block} ({bytes} bytes)")
-            }
-            Event::MigrationCompleted { node, block, bytes } => {
-                format!("node{node} finished migrating block {block} ({bytes} bytes)")
-            }
-            Event::MigrationWasted { node, block, .. } => {
-                format!("node{node} wasted migration read of block {block}")
-            }
-            Event::MigrationDiscarded { node, block } => {
-                format!("node{node} discards queued block {block}")
-            }
-            Event::MigrationCancelled { node, block } => {
-                format!("node{node} cancels in-flight migration of block {block}")
-            }
-            Event::BlockEvicted { node, block, bytes } => {
-                format!("node{node} evicts block {block} ({bytes} bytes)")
-            }
-            Event::RpcSent { from, to } => format!("message {from} -> {to}"),
-            Event::RpcDropped { from, to } => format!("dropped {from} -> {to}"),
-            Event::RpcDuplicated { from, to } => format!("duplicated {from} -> {to}"),
-            Event::RpcCut { from, to } => format!("partitioned {from} -> {to}"),
-            Event::RpcRetried { seq, node, attempt } => {
-                format!("retransmitting seq {seq} to node{node} (attempt {attempt})")
-            }
-            Event::RpcAcked { seq } => format!("seq {seq} acked"),
-            Event::RpcGaveUp { seq, node } => format!("gave up on seq {seq} to node{node}"),
-            Event::LeaseExpired { node, job } => {
-                format!("node{node} expires lease of job {job}")
-            }
-            Event::EpochRejected {
-                node,
-                stale,
-                current,
-            } => format!("node{node} rejects stale epoch {stale} (current {current})"),
-            Event::IncarnationRejected {
-                node,
-                stale,
-                current,
-            } => format!("node{node} rejects stale incarnation {stale} (current {current})"),
-            Event::NodeCrashed { node } => format!("node{node} crashed"),
-            Event::NodeRestarted { node, incarnation } => {
-                format!("node{node} restarted as incarnation {incarnation}")
-            }
-            Event::SlaveRegistered { node, incarnation } => {
-                format!("master registers node{node} incarnation {incarnation}")
-            }
-            Event::BlockReportReceived { node, blocks } => {
-                format!("block report from node{node} restores {blocks} replicas")
-            }
-            Event::RereplicationStarted {
-                block,
-                source,
-                target,
-                bytes,
-            } => format!(
-                "re-replicating block {block} ({bytes} bytes) from node{source} to node{target}"
-            ),
-            Event::RereplicationDeferred { block, attempt } => {
-                format!("re-replication of block {block} deferred (attempt {attempt})")
-            }
-            Event::FaultInjected { desc } => desc.clone(),
-            Event::FaultHealed { desc } => format!("healed: {desc}"),
         }
     }
 
@@ -948,8 +829,7 @@ struct RecorderState {
 
 /// A bounded ring-buffer sink: keeps the most recent `capacity` records
 /// and counts the ones it had to drop. Cloning shares the buffer, so the
-/// caller keeps a handle while the simulation owns the sink — the
-/// [`SharedVecSink`](crate::trace::SharedVecSink) pattern, but bounded.
+/// caller keeps a handle while the simulation owns the sink.
 #[derive(Clone)]
 pub struct FlightRecorder {
     state: Rc<RefCell<RecorderState>>,
@@ -1027,31 +907,9 @@ impl EventSink for FlightRecorder {
     }
 }
 
-/// Adapts a legacy [`TraceSink`] to the typed event stream: every event is
-/// formatted into the old `(time, category, message)` shape, so existing
-/// string sinks keep working behind `World::with_trace`.
-pub struct TraceAdapter {
-    sink: Box<dyn TraceSink>,
-}
-
-impl TraceAdapter {
-    /// Wraps a legacy sink.
-    pub fn new(sink: Box<dyn TraceSink>) -> Self {
-        TraceAdapter { sink }
-    }
-}
-
-impl EventSink for TraceAdapter {
-    fn record(&mut self, rec: &EventRecord) {
-        self.sink
-            .record(rec.at, rec.event.category(), rec.event.legacy_message());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::SharedVecSink;
 
     fn job_event(job: u64) -> Event {
         Event::JobScheduled { job }
@@ -1137,31 +995,6 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
-    }
-
-    #[test]
-    fn trace_adapter_preserves_legacy_shape() {
-        let (legacy, entries) = SharedVecSink::new();
-        let tele = Telemetry::new(Box::new(TraceAdapter::new(Box::new(legacy))));
-        tele.set_now(SimTime::from_secs(2));
-        tele.emit(|| Event::JobSubmitted {
-            job: 1,
-            name: "wc".into(),
-            plan: 0,
-            stage: 0,
-        });
-        tele.emit(|| Event::MigrationStarted {
-            node: 3,
-            block: 9,
-            bytes: 64,
-        });
-        let e = entries.borrow();
-        assert_eq!(e.len(), 2);
-        assert_eq!(e[0].category, "job");
-        assert!(e[0].message.contains("submitted"));
-        assert_eq!(e[0].at, SimTime::from_secs(2));
-        assert_eq!(e[1].category, "migration");
-        assert!(e[1].message.contains("block 9"));
     }
 
     #[test]

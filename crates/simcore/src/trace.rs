@@ -1,47 +1,19 @@
-//! Structured simulation tracing.
+//! Ad-hoc debug tracing of the typed event stream.
 //!
 //! Simulations are hard to debug from aggregate metrics alone. A
-//! [`TraceSink`] receives a line per interesting state transition (job
-//! submitted, task assigned, migration started, fault injected, …) with
-//! the simulated timestamp. Hosts emit traces only when a sink is
-//! installed, so tracing is zero-cost when off.
+//! [`StderrSink`] is an [`EventSink`] that prints every
+//! [telemetry](crate::telemetry) record as it is emitted, prefixed with the
+//! simulated time. Hosts emit only when a sink is installed, so tracing is
+//! zero-cost when off.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use crate::telemetry::{EventRecord, EventSink};
 
-use crate::time::SimTime;
-
-/// One trace record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Simulated time of the transition.
-    pub at: SimTime,
-    /// Short category tag (`"job"`, `"task"`, `"migration"`, `"fault"`, …).
-    pub category: &'static str,
-    /// Human-readable description.
-    pub message: String,
-}
-
-/// A consumer of trace records.
-pub trait TraceSink {
-    /// Receives one record.
-    fn record(&mut self, at: SimTime, category: &'static str, message: String);
-}
-
-/// A sink that drops everything (placeholder for "tracing off").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _at: SimTime, _category: &'static str, _message: String) {}
-}
-
-/// A sink that prints each record to stderr, prefixed with the simulated
-/// time — handy for ad-hoc debugging.
+/// A sink that prints each record to stderr as
+/// `[{at}] {category}: {json}` — handy for ad-hoc debugging.
 ///
-/// An optional category filter keeps chatty categories out of the way
-/// when debugging one subsystem (e.g. chaos tests drowning in task
-/// events):
+/// An optional category filter ([`Event::category`]) keeps chatty
+/// categories out of the way when debugging one subsystem (e.g. chaos
+/// tests drowning in task events):
 ///
 /// ```
 /// use ignem_simcore::trace::StderrSink;
@@ -50,6 +22,8 @@ impl TraceSink for NullSink {
 /// assert!(sink.accepts("migration"));
 /// assert!(!sink.accepts("task"));
 /// ```
+///
+/// [`Event::category`]: crate::telemetry::Event::category
 #[derive(Debug, Clone, Default)]
 pub struct StderrSink {
     /// `None` prints everything; `Some` prints only the listed categories.
@@ -85,74 +59,18 @@ impl StderrSink {
     }
 }
 
-impl TraceSink for StderrSink {
-    fn record(&mut self, at: SimTime, category: &'static str, message: String) {
+impl EventSink for StderrSink {
+    fn record(&mut self, rec: &EventRecord) {
+        let category = rec.event.category();
         if self.accepts(category) {
-            eprintln!("[{at}] {category}: {message}");
+            eprintln!("[{}] {category}: {}", rec.at, rec.to_json());
         }
-    }
-}
-
-/// A sink that appends records to a shared vector, so the caller can
-/// inspect the trace after the simulation (which consumes the sink).
-///
-/// ```
-/// use ignem_simcore::time::SimTime;
-/// use ignem_simcore::trace::{SharedVecSink, TraceSink};
-///
-/// let (mut sink, entries) = SharedVecSink::new();
-/// sink.record(SimTime::from_secs(1), "job", "submitted".into());
-/// assert_eq!(entries.borrow().len(), 1);
-/// assert_eq!(entries.borrow()[0].category, "job");
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SharedVecSink {
-    entries: Rc<RefCell<Vec<TraceEntry>>>,
-}
-
-impl SharedVecSink {
-    /// Creates a sink and the shared handle to its records.
-    pub fn new() -> (SharedVecSink, Rc<RefCell<Vec<TraceEntry>>>) {
-        let entries = Rc::new(RefCell::new(Vec::new()));
-        (
-            SharedVecSink {
-                entries: entries.clone(),
-            },
-            entries,
-        )
-    }
-}
-
-impl TraceSink for SharedVecSink {
-    fn record(&mut self, at: SimTime, category: &'static str, message: String) {
-        self.entries.borrow_mut().push(TraceEntry {
-            at,
-            category,
-            message,
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shared_sink_accumulates_in_order() {
-        let (mut sink, entries) = SharedVecSink::new();
-        sink.record(SimTime::from_secs(1), "a", "one".into());
-        sink.record(SimTime::from_secs(2), "b", "two".into());
-        let e = entries.borrow();
-        assert_eq!(e.len(), 2);
-        assert_eq!(e[0].message, "one");
-        assert_eq!(e[1].at, SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn null_sink_is_silent() {
-        let mut s = NullSink;
-        s.record(SimTime::ZERO, "x", "dropped".into());
-    }
 
     #[test]
     fn stderr_filter_parses_env_style_lists() {
@@ -169,11 +87,5 @@ mod tests {
         assert!(!spaced.accepts("job"));
         let empty = StderrSink::with_filter("  ,  ");
         assert!(empty.accepts("anything"));
-    }
-
-    #[test]
-    fn sinks_are_object_safe() {
-        let mut boxed: Box<dyn TraceSink> = Box::new(NullSink);
-        boxed.record(SimTime::ZERO, "x", "ok".into());
     }
 }

@@ -3,11 +3,6 @@
 //!
 //! ```text
 //! chaos-sweep [SEEDS] [--start N] [--out PATH] [--jobs N] [--crashes N]
-//! chaos-sweep --bench-out PATH [--bench-seeds N] [--jobs N]
-//!             [--bench-baseline PATH]
-//! chaos-sweep --bench-minimize-out PATH
-//! chaos-sweep --bench-scale-out PATH [--scale-nodes N] [--scale-days N]
-//!             [--scale-smoke-only]
 //! ```
 //!
 //! Runs seeds `start..start + SEEDS` (default 256 from 0) through the
@@ -29,57 +24,12 @@
 //! parallelism) through [`ignem_cluster::sweep`], which merges results in
 //! seed order — stdout, stderr, the exit code and the minimized-schedule
 //! artifact are byte-identical to `--jobs 1`.
-//!
-//! `--bench-out` switches to bench mode: instead of sweeping for
-//! violations it times representative scenarios (single fault-free world,
-//! single chaos world, the SWIM run with and without the sim-time metrics
-//! registry, and a jobs ∈ {1, 2, 4, `--jobs`} verification-sweep scaling
-//! curve timed round-robin so host-frequency drift cannot bias one worker
-//! count against another), writes
-//! events/sec, total events and wall time per scenario as JSON to PATH,
-//! and prints a short summary. `--bench-baseline OLD.json` embeds a
-//! previously committed report under `"baseline"` and records the
-//! speedups against it, so one file carries both sides of a before/after
-//! comparison (see DESIGN.md §9 for how to read it).
-//!
-//! `--bench-scale-out` benches the datacenter-scale streaming path: a
-//! Google-trace replay ([`ignem_workloads::stream`]) admitted lazily into
-//! a cluster running the sweep heartbeat
-//! ([`ClusterConfig::heartbeat_sweep`]). It times two scenarios — a
-//! reduced `scale_smoke` world (1024 nodes, one simulated day, the CI
-//! gate) and the full `scale_full` world (12 288 nodes, one simulated
-//! month, the paper's §II datacenter) — recording events/sec, simulated
-//! seconds per wall second, per-world resident bytes (RSS delta across
-//! construction) and the process peak RSS. `--scale-smoke-only` skips the
-//! full world so CI stays fast; `--scale-nodes`/`--scale-days` resize the
-//! full scenario. The committed reference lives in `BENCH_scale.json`.
-//!
-//! `--bench-minimize-out` benches the fault minimizer on the pinned
-//! seed-304 reference leak, interleaving the full-replay baseline
-//! (`minimize_faults_replay`) with the snapshot-forked shrink
-//! (`minimize_faults`). The per-scenario `events` field counts *simulated*
-//! events, so CI can gate on the fork doing strictly less simulation work
-//! for the same minimal schedule (the committed `BENCH_minimize.json`
-//! holds the reference report).
 
 use std::ops::ControlFlow;
 use std::process::ExitCode;
 
-use ignem_bench::wall_clock;
-use ignem_cluster::chaos::{
-    minimize_faults, minimize_faults_replay_with_stats, minimize_faults_with_stats, run_chaos,
-    ChaosConfig,
-};
-use ignem_cluster::config::{ClusterConfig, FsMode};
-use ignem_cluster::experiment::{run_swim_observed, run_swim_recorded};
+use ignem_cluster::chaos::{minimize_faults, run_chaos, ChaosConfig};
 use ignem_cluster::sweep::{default_jobs, sweep};
-use ignem_cluster::world::{PlannedJob, World};
-use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
-use ignem_simcore::rng::SimRng;
-use ignem_simcore::time::SimDuration;
-use ignem_simcore::units::MB;
-use ignem_workloads::stream::{replay_files, JobArrival, ReplayConfig, ReplayStream};
-use ignem_workloads::swim::{SwimConfig, SwimTrace};
 
 fn main() -> ExitCode {
     let mut seeds: u64 = 256;
@@ -87,14 +37,6 @@ fn main() -> ExitCode {
     let mut out = String::from("chaos-minimized.txt");
     let mut jobs: Option<usize> = None;
     let mut crashes: usize = 0;
-    let mut bench_out: Option<String> = None;
-    let mut bench_seeds: u64 = 256;
-    let mut bench_baseline: Option<String> = None;
-    let mut bench_minimize_out: Option<String> = None;
-    let mut bench_scale_out: Option<String> = None;
-    let mut scale_nodes: usize = 12_288;
-    let mut scale_days: u64 = 30;
-    let mut scale_smoke_only = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -102,55 +44,14 @@ fn main() -> ExitCode {
             "--out" => out = args.next().unwrap_or_else(|| usage("--out needs a path")),
             "--jobs" => jobs = Some(parse(args.next(), "--jobs").max(1) as usize),
             "--crashes" => crashes = parse(args.next(), "--crashes") as usize,
-            "--bench-out" => {
-                bench_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench-out needs a path")),
-                )
+            "--help" | "-h" => {
+                usage("chaos-sweep [SEEDS] [--start N] [--out PATH] [--jobs N] [--crashes N]")
             }
-            "--bench-seeds" => bench_seeds = parse(args.next(), "--bench-seeds"),
-            "--bench-minimize-out" => {
-                bench_minimize_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench-minimize-out needs a path")),
-                )
-            }
-            "--bench-scale-out" => {
-                bench_scale_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench-scale-out needs a path")),
-                )
-            }
-            "--scale-nodes" => scale_nodes = parse(args.next(), "--scale-nodes").max(1) as usize,
-            "--scale-days" => scale_days = parse(args.next(), "--scale-days").max(1),
-            "--scale-smoke-only" => scale_smoke_only = true,
-            "--bench-baseline" => {
-                bench_baseline = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench-baseline needs a path")),
-                )
-            }
-            "--help" | "-h" => usage(
-                "chaos-sweep [SEEDS] [--start N] [--out PATH] [--jobs N] [--crashes N]\n\
-                 chaos-sweep --bench-out PATH [--bench-seeds N] [--jobs N] [--bench-baseline PATH]\n\
-                 chaos-sweep --bench-minimize-out PATH\n\
-                 chaos-sweep --bench-scale-out PATH [--scale-nodes N] [--scale-days N] \
-                 [--scale-smoke-only]",
-            ),
+            other if other.starts_with("--") => usage(&format!("unknown flag {other}")),
             other => seeds = parse(Some(other.to_string()), "SEEDS"),
         }
     }
     let jobs = jobs.unwrap_or_else(default_jobs);
-
-    if let Some(path) = bench_minimize_out {
-        return bench_minimize(&path);
-    }
-    if let Some(path) = bench_scale_out {
-        return bench_scale(&path, scale_nodes, scale_days, scale_smoke_only);
-    }
-    if let Some(path) = bench_out {
-        return bench(&path, bench_seeds, jobs, bench_baseline.as_deref());
-    }
 
     let mut worst_leak = 0u64;
     let failed = sweep(
@@ -195,8 +96,6 @@ fn main() -> ExitCode {
 /// Everything the sweep needs back from one verified seed.
 struct SeedOutcome {
     leak: u64,
-    /// Engine events processed across both verification runs.
-    events: u64,
     verdict: Result<(), String>,
 }
 
@@ -210,12 +109,10 @@ fn seed_outcome(seed: u64, crashes: usize) -> SeedOutcome {
     };
     let first = run_chaos(&cfg);
     let leak = first.metrics.leaked_job_refs;
-    let mut events = first.metrics.events_processed;
     let verdict = match first.check_invariants() {
         Err(e) => Err(e),
         Ok(()) => {
             let second = run_chaos(&cfg);
-            events += second.metrics.events_processed;
             if first.fingerprint == second.fingerprint {
                 Ok(())
             } else {
@@ -226,704 +123,7 @@ fn seed_outcome(seed: u64, crashes: usize) -> SeedOutcome {
             }
         }
     };
-    SeedOutcome {
-        leak,
-        events,
-        verdict,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Bench mode
-// ---------------------------------------------------------------------
-
-/// One timed bench scenario, serialized into `BENCH_sweep.json`.
-struct Scenario {
-    name: &'static str,
-    seeds: Option<u64>,
-    jobs: Option<usize>,
-    runs: u64,
-    events: u64,
-    wall_secs: f64,
-}
-
-impl Scenario {
-    fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    fn to_json(&self, calib_mb_per_sec: f64) -> String {
-        let mut s = format!("    {{\"name\": \"{}\"", self.name);
-        if let Some(n) = self.seeds {
-            s.push_str(&format!(", \"seeds\": {n}"));
-        }
-        if let Some(j) = self.jobs {
-            s.push_str(&format!(", \"jobs\": {j}"));
-        }
-        s.push_str(&format!(
-            ", \"runs\": {}, \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \
-             \"events_per_mb_hashed\": {:.3}}}",
-            self.runs,
-            self.events,
-            self.wall_secs,
-            self.events_per_sec(),
-            if calib_mb_per_sec > 0.0 {
-                self.events_per_sec() / calib_mb_per_sec
-            } else {
-                0.0
-            }
-        ));
-        s
-    }
-}
-
-/// The fault-free default world the sanitizer also double-runs: one
-/// migrating job over four DFS files on the default cluster.
-fn default_world() -> World {
-    let files: Vec<(String, u64)> = (0..4)
-        .map(|i| (format!("/in/part-{i}"), 512 * MB / 4))
-        .collect();
-    let mut spec = JobSpec::new(
-        "bench-default",
-        JobInput::DfsFiles(files.iter().map(|(p, _)| p.clone()).collect()),
-    );
-    spec.submit = SubmitOptions::with_migration();
-    let plan = vec![PlannedJob::single(
-        "bench-default",
-        SimDuration::from_secs(1),
-        spec,
-    )];
-    World::new(
-        ClusterConfig::default(),
-        FsMode::Ignem,
-        &files,
-        plan,
-        vec![],
-    )
-}
-
-/// Host CPU calibration: FNV-1a over a fixed pseudorandom buffer. Dividing
-/// events/sec by this MB/s rate gives `events_per_mb_hashed`, a roughly
-/// machine-independent throughput figure CI can compare across runners.
-fn calibrate() -> (u64, f64) {
-    const BUF: usize = 8 << 20;
-    const PASSES: usize = 16;
-    let mut buf = vec![0u8; BUF];
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    for b in buf.iter_mut() {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *b = x as u8;
-    }
-    let t = wall_clock();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for _ in 0..PASSES {
-        for &b in &buf {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    let secs = t.elapsed().as_secs_f64();
-    std::hint::black_box(h);
-    ((BUF * PASSES) as u64, secs)
-}
-
-/// Times `body` (which returns events processed) over `runs` repetitions.
-fn time_scenario(name: &'static str, runs: u64, body: impl Fn() -> u64) -> Scenario {
-    let t = wall_clock();
-    let mut events = 0u64;
-    for _ in 0..runs {
-        events += body();
-    }
-    Scenario {
-        name,
-        seeds: None,
-        jobs: None,
-        runs,
-        events,
-        wall_secs: t.elapsed().as_secs_f64(),
-    }
-}
-
-/// Times two bodies over `runs` repetitions each, alternating per
-/// iteration so slow host-frequency drift (turbo decay, thermal
-/// throttling) hits both scenarios equally. CI gates on the pair's
-/// throughput ratio, which back-to-back blocks would bias against
-/// whichever scenario runs second.
-fn time_scenario_pair(
-    a_name: &'static str,
-    b_name: &'static str,
-    runs: u64,
-    a: impl Fn() -> u64,
-    b: impl Fn() -> u64,
-) -> (Scenario, Scenario) {
-    let (mut a_events, mut b_events) = (0u64, 0u64);
-    let (mut a_secs, mut b_secs) = (0f64, 0f64);
-    for _ in 0..runs {
-        let t = wall_clock();
-        a_events += a();
-        a_secs += t.elapsed().as_secs_f64();
-        let t = wall_clock();
-        b_events += b();
-        b_secs += t.elapsed().as_secs_f64();
-    }
-    let scenario = |name, events, wall_secs| Scenario {
-        name,
-        seeds: None,
-        jobs: None,
-        runs,
-        events,
-        wall_secs,
-    };
-    (
-        scenario(a_name, a_events, a_secs),
-        scenario(b_name, b_events, b_secs),
-    )
-}
-
-/// How many times each sweep scenario repeats its full seed range: single
-/// sweeps finish in fractions of a second, so timing one pass would be
-/// mostly noise.
-const SWEEP_REPS: u64 = 8;
-
-/// Times the full per-seed verification over `seeds` seeds once per
-/// `(name, jobs)` entry, `SWEEP_REPS` rounds over, **interleaved**: each
-/// round times every entry back to back before the next round starts, so
-/// slow host-frequency drift hits all worker counts equally. The old
-/// back-to-back blocks biased the comparison against whichever sweep ran
-/// last — the committed `sweep_parallel_speedup: 0.938` "regression" was
-/// exactly that bias, measured between two identical jobs=1 loops.
-fn time_sweep_curve(seeds: u64, entries: &[(&'static str, usize)]) -> Vec<Scenario> {
-    let mut events = vec![0u64; entries.len()];
-    let mut walls = vec![0f64; entries.len()];
-    let mut violations = 0u64;
-    for rep in 0..SWEEP_REPS as usize {
-        // Rotate the starting entry each rep so no scenario always runs
-        // in the same position (e.g. right after a pool teardown, whose
-        // reclamation would otherwise tax the same follower every time).
-        for k in 0..entries.len() {
-            let i = (rep + k) % entries.len();
-            let (_, jobs) = entries[i];
-            let t = wall_clock();
-            sweep(
-                0,
-                seeds,
-                jobs,
-                |seed| seed_outcome(seed, 0),
-                |_seed, outcome| {
-                    events[i] += outcome.events;
-                    if outcome.verdict.is_err() {
-                        violations += 1;
-                    }
-                    ControlFlow::<()>::Continue(())
-                },
-            );
-            walls[i] += t.elapsed().as_secs_f64();
-        }
-    }
-    if violations > 0 {
-        eprintln!("sweep curve: {violations} seed violation(s) during bench");
-    }
-    entries
-        .iter()
-        .zip(events)
-        .zip(walls)
-        .map(|((&(name, jobs), events), wall_secs)| Scenario {
-            name,
-            seeds: Some(seeds),
-            jobs: Some(jobs),
-            runs: 2 * seeds * SWEEP_REPS, // each seed runs twice (determinism check)
-            events,
-            wall_secs,
-        })
-        .collect()
-}
-
-/// Pulls `"field": <number>` out of the object that contains
-/// `"name": "<scenario>"` in a bench report we wrote ourselves. Good
-/// enough for our own single-line-per-scenario format; not a JSON parser.
-fn scenario_number(text: &str, scenario: &str, field: &str) -> Option<f64> {
-    let obj_start = text.find(&format!("\"name\": \"{scenario}\""))?;
-    let obj = &text[obj_start..text[obj_start..].find('}').map(|e| obj_start + e)?];
-    let at = obj.find(&format!("\"{field}\": "))? + field.len() + 4;
-    let rest = &obj[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-// ---------------------------------------------------------------------
-// Scale-out bench mode
-// ---------------------------------------------------------------------
-
-/// Seed of the replayed arrival stream — arbitrary but fixed, so the
-/// committed `BENCH_scale.json` event counts are reproducible bit-for-bit.
-const SCALE_STREAM_SEED: u64 = 0x5CA1_E001;
-
-/// One timed scale-out scenario, serialized into `BENCH_scale.json`.
-struct ScaleScenario {
-    name: &'static str,
-    nodes: usize,
-    sim_days: u64,
-    jobs: u64,
-    jobs_completed: u64,
-    events: u64,
-    wall_secs: f64,
-    sim_secs: f64,
-    /// RSS growth across world construction + DFS preload — the resident
-    /// footprint one streamed world costs the process.
-    world_resident_bytes: u64,
-    /// `VmHWM` after the run: the process-wide peak, including the run
-    /// itself (metrics accumulation, occupancy change logs).
-    peak_rss_bytes: u64,
-}
-
-impl ScaleScenario {
-    fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    fn to_json(&self, calib_mb_per_sec: f64) -> String {
-        format!(
-            "    {{\"name\": \"{}\", \"nodes\": {}, \"sim_days\": {}, \"jobs\": {}, \
-             \"jobs_completed\": {}, \"events\": {}, \"wall_secs\": {:.6}, \
-             \"events_per_sec\": {:.1}, \"events_per_mb_hashed\": {:.3}, \
-             \"sim_secs\": {:.1}, \"sim_secs_per_wall_sec\": {:.1}, \
-             \"world_resident_bytes\": {}, \"peak_rss_bytes\": {}}}",
-            self.name,
-            self.nodes,
-            self.sim_days,
-            self.jobs,
-            self.jobs_completed,
-            self.events,
-            self.wall_secs,
-            self.events_per_sec(),
-            if calib_mb_per_sec > 0.0 {
-                self.events_per_sec() / calib_mb_per_sec
-            } else {
-                0.0
-            },
-            self.sim_secs,
-            if self.wall_secs > 0.0 {
-                self.sim_secs / self.wall_secs
-            } else {
-                0.0
-            },
-            self.world_resident_bytes,
-            self.peak_rss_bytes,
-        )
-    }
-}
-
-/// A `VmRSS:`/`VmHWM:`-style field of `/proc/self/status`, in bytes.
-/// Returns 0 where procfs is unavailable (the JSON then records zeros
-/// rather than the bench failing on a non-Linux host).
-fn proc_status_bytes(field: &str) -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix(field))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|kb| kb.parse::<u64>().ok())
-        .map_or(0, |kb| kb * 1024)
-}
-
-/// Adapter from a streamed [`JobArrival`] to the world's planned-job
-/// shape. A plain `fn` so the mapped stream stays `Clone` (the arrival
-/// source is cloned into world snapshots).
-fn arrival_plan(a: JobArrival) -> PlannedJob {
-    PlannedJob::single(a.name, a.submit, a.spec)
-}
-
-/// Builds and runs one streamed trace-replay world: `days` of Google-trace
-/// arrivals over a `nodes`-node Ignem cluster with the cluster-wide
-/// heartbeat sweep. The DFS namespace is preloaded (file creation draws
-/// from the world rng); the jobs themselves are admitted lazily from the
-/// pull-based stream, so no full job plan ever materialises.
-fn run_scale(name: &'static str, nodes: usize, days: u64) -> ScaleScenario {
-    let rcfg = ReplayConfig::default();
-    let jobs = (rcfg.arrivals_per_sec * (days * 86_400) as f64).round() as u64;
-    let rcfg = ReplayConfig {
-        jobs: Some(jobs),
-        ..rcfg
-    };
-    let cfg = ClusterConfig {
-        nodes,
-        heartbeat_sweep: true,
-        ..ClusterConfig::default()
-    };
-    let rss_before = proc_status_bytes("VmRSS:");
-    let files = replay_files(&rcfg, jobs);
-    let stream = ReplayStream::new(rcfg, SCALE_STREAM_SEED)
-        .map(arrival_plan as fn(JobArrival) -> PlannedJob);
-    let mut world =
-        World::new(cfg, FsMode::Ignem, &files, vec![], vec![]).with_arrivals(Box::new(stream));
-    drop(files);
-    let rss_built = proc_status_bytes("VmRSS:");
-    let t = wall_clock();
-    world.run_to_end();
-    let wall_secs = t.elapsed().as_secs_f64();
-    let events = world.events_processed();
-    let sim_secs = world.now().as_secs_f64();
-    let metrics = world.finalize_mut();
-    ScaleScenario {
-        name,
-        nodes,
-        sim_days: days,
-        jobs,
-        jobs_completed: metrics.jobs.len() as u64,
-        events,
-        wall_secs,
-        sim_secs,
-        world_resident_bytes: rss_built.saturating_sub(rss_before),
-        peak_rss_bytes: proc_status_bytes("VmHWM:"),
-    }
-}
-
-/// Benches the datacenter-scale streaming path and writes
-/// `BENCH_scale.json`-shaped output: the reduced `scale_smoke` world CI
-/// gates on, plus (unless `smoke_only`) the full 12k-node / one-month
-/// world the success criterion of DESIGN.md §9 pins.
-fn bench_scale(path: &str, nodes: usize, days: u64, smoke_only: bool) -> ExitCode {
-    println!("bench: calibrating host…");
-    let (calib_bytes, calib_secs) = calibrate();
-    let calib_rate = calib_bytes as f64 / (1 << 20) as f64 / calib_secs;
-    println!("bench: {calib_rate:.0} MB/s FNV-1a");
-
-    let mut scenarios: Vec<ScaleScenario> = Vec::new();
-    for (name, n, d) in [
-        ("scale_smoke", 1024usize, 1u64),
-        ("scale_full", nodes, days),
-    ] {
-        if smoke_only && name != "scale_smoke" {
-            continue;
-        }
-        println!("bench: {name} — {n} nodes, {d} simulated day(s)…");
-        let sc = run_scale(name, n, d);
-        println!(
-            "bench: {name} {} jobs, {} events in {:.1}s wall \
-             ({:.0} events/sec, {:.0} sim-secs/sec, world {} MiB resident, peak RSS {} MiB)",
-            sc.jobs_completed,
-            sc.events,
-            sc.wall_secs,
-            sc.events_per_sec(),
-            if sc.wall_secs > 0.0 {
-                sc.sim_secs / sc.wall_secs
-            } else {
-                0.0
-            },
-            sc.world_resident_bytes >> 20,
-            sc.peak_rss_bytes >> 20,
-        );
-        if sc.jobs_completed < sc.jobs {
-            eprintln!(
-                "bench: {name} completed only {} of {} admitted jobs",
-                sc.jobs_completed, sc.jobs
-            );
-            return ExitCode::FAILURE;
-        }
-        scenarios.push(sc);
-    }
-
-    let mut json =
-        String::from("{\n  \"schema\": 1,\n  \"generator\": \"chaos-sweep --bench-scale-out\",\n");
-    json.push_str(&format!(
-        "  \"calibration\": {{\"bytes\": {calib_bytes}, \"wall_secs\": {calib_secs:.6}, \
-         \"mb_per_sec\": {calib_rate:.1}}},\n"
-    ));
-    json.push_str("  \"scenarios\": [\n");
-    for (i, sc) in scenarios.iter().enumerate() {
-        json.push_str(&sc.to_json(calib_rate));
-        json.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("bench: wrote {path}");
-    ExitCode::SUCCESS
-}
-
-/// Benches the fault minimizer on the pinned seed-304 reference leak:
-/// the full-replay baseline vs the snapshot-forked shrink, interleaved.
-/// Each scenario's `events` counts *simulated* events (for the fork, only
-/// the suffixes after each restore point), which is the work the snapshot
-/// machinery exists to avoid — CI gates fork ≤ replay on that axis.
-fn bench_minimize(path: &str) -> ExitCode {
-    println!("bench: calibrating host…");
-    let (calib_bytes, calib_secs) = calibrate();
-    let calib_rate = calib_bytes as f64 / (1 << 20) as f64 / calib_secs;
-    println!("bench: {calib_rate:.0} MB/s FNV-1a");
-
-    // The legacy lease-free configuration whose seed-304 leak the repo
-    // pins; both minimizers must shrink it to the same single partition.
-    let legacy = ChaosConfig {
-        seed: 304,
-        lease: None,
-        ..ChaosConfig::default()
-    };
-    let schedules_agree = std::cell::Cell::new(true);
-    let (replay, fork) = time_scenario_pair(
-        "minimize_replay_304",
-        "minimize_fork_304",
-        20,
-        || {
-            let (min, stats) = minimize_faults_replay_with_stats(&legacy);
-            schedules_agree.set(schedules_agree.get() & min.is_some_and(|m| m.faults.len() == 1));
-            stats.simulated_events
-        },
-        || {
-            let (min, stats) = minimize_faults_with_stats(&legacy);
-            schedules_agree.set(schedules_agree.get() & min.is_some_and(|m| m.faults.len() == 1));
-            stats.simulated_events
-        },
-    );
-    if !schedules_agree.get() {
-        eprintln!("bench: minimizer did not reproduce the pinned 1-fault schedule");
-        return ExitCode::FAILURE;
-    }
-    let event_ratio = if replay.events > 0 {
-        fork.events as f64 / replay.events as f64
-    } else {
-        0.0
-    };
-    let wall_speedup = if fork.wall_secs > 0.0 {
-        replay.wall_secs / fork.wall_secs
-    } else {
-        0.0
-    };
-    println!(
-        "bench: minimize_replay_304 {} simulated events in {:.2}s",
-        replay.events, replay.wall_secs
-    );
-    println!(
-        "bench: minimize_fork_304 {} simulated events in {:.2}s \
-         ({event_ratio:.3}x events, {wall_speedup:.2}x wall)",
-        fork.events, fork.wall_secs
-    );
-
-    let mut json = String::from(
-        "{\n  \"schema\": 1,\n  \"generator\": \"chaos-sweep --bench-minimize-out\",\n",
-    );
-    json.push_str(&format!(
-        "  \"calibration\": {{\"bytes\": {calib_bytes}, \"wall_secs\": {calib_secs:.6}, \
-         \"mb_per_sec\": {calib_rate:.1}}},\n"
-    ));
-    json.push_str("  \"scenarios\": [\n");
-    let scenarios = [&replay, &fork];
-    for (i, sc) in scenarios.iter().enumerate() {
-        json.push_str(&sc.to_json(calib_rate));
-        json.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"fork_event_ratio\": {event_ratio:.4},\n  \"fork_wall_speedup\": {wall_speedup:.3}\n}}\n"
-    ));
-
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("bench: wrote {path}");
-    ExitCode::SUCCESS
-}
-
-fn bench(path: &str, bench_seeds: u64, jobs: usize, baseline: Option<&str>) -> ExitCode {
-    println!("bench: calibrating host…");
-    let (calib_bytes, calib_secs) = calibrate();
-    let calib_rate = calib_bytes as f64 / (1 << 20) as f64 / calib_secs;
-    println!("bench: {calib_rate:.0} MB/s FNV-1a");
-
-    // World construction (DFS preload, per-node setup) is not the event
-    // loop the scenario measures; building the template once and cloning
-    // it per repetition keeps the per-run cost to the clone + the run.
-    let template = default_world();
-    let single_default = time_scenario("single_default", 1000, || {
-        template.clone().run().events_processed
-    });
-    println!(
-        "bench: single_default {:.0} events/sec",
-        single_default.events_per_sec()
-    );
-    let cfg304 = ChaosConfig {
-        seed: 304,
-        ..ChaosConfig::default()
-    };
-    let single_chaos = time_scenario("single_chaos_304", 500, || {
-        run_chaos(&cfg304).metrics.events_processed
-    });
-    println!(
-        "bench: single_chaos_304 {:.0} events/sec",
-        single_chaos.events_per_sec()
-    );
-    // The SWIM run — the workload the report's telemetry section actually
-    // observes — with and without the sim-time metrics registry,
-    // interleaved: CI gates the metrics overhead by comparing the two
-    // scenarios' `events_per_mb_hashed` within one report. (The chaos
-    // world above would be a poor denominator: at ~330 events per run its
-    // timing is dominated by per-run setup, not by per-event cost.)
-    let swim_cfg = ClusterConfig::default();
-    let swim_trace = SwimTrace::generate(&SwimConfig::default(), &mut SimRng::new(7));
-    let (single_swim, single_swim_metrics) = time_scenario_pair(
-        "single_swim",
-        "single_swim_metrics",
-        20,
-        || {
-            run_swim_recorded(&swim_cfg, FsMode::Ignem, &swim_trace, 1 << 22)
-                .0
-                .events_processed
-        },
-        || {
-            run_swim_observed(
-                &swim_cfg,
-                FsMode::Ignem,
-                &swim_trace,
-                1 << 22,
-                SimDuration::from_secs(10),
-            )
-            .0
-            .events_processed
-        },
-    );
-    println!(
-        "bench: single_swim {:.0} events/sec",
-        single_swim.events_per_sec()
-    );
-    println!(
-        "bench: single_swim_metrics {:.0} events/sec",
-        single_swim_metrics.events_per_sec()
-    );
-    // The scaling curve: jobs=1 (the inline serial loop `sweep` routes
-    // single-worker requests to), 2 and 4 pooled workers, and the
-    // requested `--jobs` count — all interleaved within each timing round.
-    let curve = time_sweep_curve(
-        bench_seeds,
-        &[
-            ("sweep_serial", 1),
-            ("sweep_jobs2", 2),
-            ("sweep_jobs4", 4),
-            ("sweep_parallel", jobs),
-        ],
-    );
-    for sc in &curve {
-        println!(
-            "bench: {} {} seeds in {:.2}s ({} jobs)",
-            sc.name,
-            bench_seeds,
-            sc.wall_secs,
-            sc.jobs.unwrap_or(1)
-        );
-    }
-    let (sweep_serial, sweep_parallel) = (&curve[0], &curve[curve.len() - 1]);
-    let parallel_speedup = if sweep_parallel.wall_secs > 0.0 {
-        sweep_serial.wall_secs / sweep_parallel.wall_secs
-    } else {
-        0.0
-    };
-
-    let mut json =
-        String::from("{\n  \"schema\": 1,\n  \"generator\": \"chaos-sweep --bench-out\",\n");
-    json.push_str(&format!(
-        "  \"jobs\": {jobs},\n  \"bench_seeds\": {bench_seeds},\n"
-    ));
-    json.push_str(&format!(
-        "  \"calibration\": {{\"bytes\": {calib_bytes}, \"wall_secs\": {calib_secs:.6}, \
-         \"mb_per_sec\": {calib_rate:.1}}},\n"
-    ));
-    json.push_str("  \"scenarios\": [\n");
-    let mut scenarios: Vec<&Scenario> = vec![
-        &single_default,
-        &single_chaos,
-        &single_swim,
-        &single_swim_metrics,
-    ];
-    scenarios.extend(curve.iter());
-    for (i, sc) in scenarios.iter().enumerate() {
-        json.push_str(&sc.to_json(calib_rate));
-        json.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"sweep_parallel_speedup\": {parallel_speedup:.3}"
-    ));
-
-    if let Some(base_path) = baseline {
-        match std::fs::read_to_string(base_path) {
-            Ok(old) => {
-                let old = old.trim();
-                // Speedups vs the embedded baseline: wall-clock for the
-                // sweep (what CI budgets), events/sec for single runs
-                // (per-event dispatch cost). Raw ratios compare the two
-                // hosts as-is; `events_per_mb_hashed` ratios divide each
-                // side by its own calibration rate first, so they stay
-                // meaningful when the baseline was recorded on a faster
-                // (or merely less noisy) machine phase.
-                let sweep_speedup = scenario_number(old, "sweep_serial", "wall_secs")
-                    .map(|w| w / sweep_parallel.wall_secs.max(1e-9));
-                let single_speedup = scenario_number(old, "single_default", "events_per_sec")
-                    .map(|r| single_default.events_per_sec() / r.max(1e-9));
-                let chaos_speedup = scenario_number(old, "single_chaos_304", "events_per_sec")
-                    .map(|r| single_chaos.events_per_sec() / r.max(1e-9));
-                let norm = |name: &str, sc: &Scenario| {
-                    scenario_number(old, name, "events_per_mb_hashed")
-                        .map(|r| sc.events_per_sec() / calib_rate.max(1e-9) / r.max(1e-9))
-                };
-                let single_norm = norm("single_default", &single_default);
-                let chaos_norm = norm("single_chaos_304", &single_chaos);
-                json.push_str(",\n  \"vs_baseline\": {");
-                json.push_str(&format!(
-                    "\"sweep_wall_speedup\": {:.3}, \"single_default_events_per_sec_ratio\": {:.3}, \
-                     \"single_chaos_304_events_per_sec_ratio\": {:.3}, \
-                     \"single_default_events_per_mb_hashed_ratio\": {:.3}, \
-                     \"single_chaos_304_events_per_mb_hashed_ratio\": {:.3}}}",
-                    sweep_speedup.unwrap_or(0.0),
-                    single_speedup.unwrap_or(0.0),
-                    chaos_speedup.unwrap_or(0.0),
-                    single_norm.unwrap_or(0.0),
-                    chaos_norm.unwrap_or(0.0)
-                ));
-                json.push_str(",\n  \"baseline\": ");
-                json.push_str(old);
-                if let Some(s) = sweep_speedup {
-                    println!("bench: sweep wall-clock speedup vs baseline: {s:.2}x");
-                }
-                if let (Some(raw), Some(norm)) = (single_speedup, single_norm) {
-                    println!(
-                        "bench: single-run events/sec vs baseline: {raw:.2}x raw, \
-                         {norm:.2}x calibration-normalized"
-                    );
-                }
-                if let (Some(raw), Some(norm)) = (chaos_speedup, chaos_norm) {
-                    println!(
-                        "bench: single chaos run events/sec vs baseline: {raw:.2}x raw, \
-                         {norm:.2}x calibration-normalized"
-                    );
-                }
-            }
-            Err(e) => eprintln!("could not read baseline {base_path}: {e}"),
-        }
-    }
-    json.push_str("\n}\n");
-
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("bench: wrote {path}");
-    ExitCode::SUCCESS
+    SeedOutcome { leak, verdict }
 }
 
 fn parse(value: Option<String>, what: &str) -> u64 {

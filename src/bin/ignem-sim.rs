@@ -5,12 +5,21 @@
 //! ignem-sim sort      [--gb N]   [--mode M]
 //! ignem-sim wordcount [--gb N]   [--mode M] [--extra-lead SECS] [--contended]
 //! ignem-sim hive      [--mode M]
+//! ignem-sim replay    [--nodes N] [--days D] [--mode M] [--seed S]
 //!
 //! M: hdfs | ignem | ram            (default: ignem)
 //! ```
+//!
+//! `replay` streams `D` simulated days of Google-trace arrivals (paper
+//! §II) through an `N`-node cluster running the heartbeat sweep, prints
+//! the jobs completed and events processed, and exits 1 if an admitted job
+//! never completed. A malformed number or a flag the command does not take
+//! exits 2 with a message.
 
 use ignem_repro::cluster::config::{ClusterConfig, FsMode};
-use ignem_repro::cluster::experiment::{run_hive, run_sort, run_swim, run_wordcount};
+use ignem_repro::cluster::experiment::{
+    replay_jobs, run_hive, run_replay, run_sort, run_swim, run_wordcount,
+};
 use ignem_repro::cluster::metrics::RunMetrics;
 use ignem_repro::core::policy::Policy;
 use ignem_repro::simcore::rng::SimRng;
@@ -20,24 +29,56 @@ use ignem_repro::storage::device::DeviceProfile;
 use ignem_repro::workloads::swim::{SwimConfig, SwimTrace};
 use ignem_repro::workloads::tpcds::fig9_queries;
 
+/// Flags every command accepts; `true` marks a flag that takes a value.
+const COMMON_FLAGS: &[(&str, bool)] = &[
+    ("mode", true),
+    ("seed", true),
+    ("contended", false),
+    ("help", false),
+];
+
+/// The command-specific flags, or `None` for an unknown command.
+fn command_flags(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
+    Some(match cmd {
+        "swim" => &[("jobs", true), ("policy", true)],
+        "sort" => &[("gb", true)],
+        "wordcount" => &[("gb", true), ("extra-lead", true)],
+        "hive" => &[],
+        "replay" => &[("nodes", true), ("days", true)],
+        _ => return None,
+    })
+}
+
 struct Args {
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
+    /// Parses `raw` against the flags `cmd` accepts, exiting with a
+    /// message on an unknown flag, a missing value or a stray argument.
+    fn parse(cmd: &str, known: &[(&str, bool)], raw: &[String]) -> Args {
         let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let a = &raw[i];
-            if let Some(name) = a.strip_prefix("--") {
-                let value = raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-                if value.is_some() {
-                    i += 1;
-                }
-                flags.push((name.to_string(), value));
-            }
-            i += 1;
+        let mut raw = raw.iter();
+        while let Some(a) = raw.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                usage(&format!("{cmd}: unexpected argument `{a}`"));
+            };
+            let Some(&(_, takes_value)) = COMMON_FLAGS
+                .iter()
+                .chain(known)
+                .find(|(flag, _)| *flag == name)
+            else {
+                usage(&format!("{cmd}: unknown flag --{name}"));
+            };
+            let value = if takes_value {
+                let v = raw
+                    .next()
+                    .unwrap_or_else(|| usage(&format!("--{name} needs a value")));
+                Some(v.clone())
+            } else {
+                None
+            };
+            flags.push((name.to_string(), value));
         }
         Args { flags }
     }
@@ -54,9 +95,12 @@ impl Args {
     }
 
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        match self.get(name) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| usage(&format!("--{name} needs a number, got `{v}`"))),
+        }
     }
 
     fn mode(&self) -> FsMode {
@@ -64,12 +108,14 @@ impl Args {
             "hdfs" => FsMode::Hdfs,
             "ram" | "inputs-in-ram" => FsMode::HdfsInputsInRam,
             "ignem" => FsMode::Ignem,
-            other => {
-                eprintln!("unknown mode: {other} (hdfs|ignem|ram)");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown mode: {other} (hdfs|ignem|ram)")),
         }
     }
+}
+
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 fn print_summary(label: &str, m: &RunMetrics) {
@@ -98,10 +144,14 @@ fn print_summary(label: &str, m: &RunMetrics) {
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = raw.first().cloned() else {
-        eprintln!("usage: ignem-sim <swim|sort|wordcount|hive> [flags]   (see --help)");
-        std::process::exit(2);
+        usage("usage: ignem-sim <swim|sort|wordcount|hive|replay> [flags]   (see --help)");
     };
-    let args = Args::parse(&raw[1..]);
+    let Some(known) = command_flags(&cmd) else {
+        usage(&format!(
+            "unknown command: {cmd} (swim|sort|wordcount|hive|replay)"
+        ));
+    };
+    let args = Args::parse(&cmd, known, &raw[1..]);
     if args.has("help") {
         println!("see the module docs at the top of src/bin/ignem-sim.rs");
         return;
@@ -127,10 +177,7 @@ fn main() {
             let policy = match args.get("policy") {
                 Some("fifo") => Some(Policy::Fifo),
                 Some("sjf") | None => None,
-                Some(other) => {
-                    eprintln!("unknown policy: {other} (sjf|fifo)");
-                    std::process::exit(2);
-                }
+                Some(other) => usage(&format!("unknown policy: {other} (sjf|fifo)")),
             };
             let m = run_swim(&cfg, mode, &trace, policy);
             print_summary(&format!("SWIM {jobs} jobs under {mode}"), &m);
@@ -165,9 +212,28 @@ fn main() {
                 );
             }
         }
-        other => {
-            eprintln!("unknown command: {other} (swim|sort|wordcount|hive)");
-            std::process::exit(2);
+        "replay" => {
+            cfg.nodes = args.num("nodes", 1024);
+            let days: u64 = args.num("days", 1);
+            if cfg.nodes == 0 || days == 0 {
+                usage("--nodes and --days must be at least 1");
+            }
+            let m = run_replay(&cfg, mode, days);
+            let admitted = replay_jobs(days);
+            println!(
+                "== replay {days} day(s) on {} nodes under {mode} ==",
+                cfg.nodes
+            );
+            println!("  jobs completed       {} of {admitted}", m.jobs.len());
+            println!("  events processed     {}", m.events_processed);
+            if (m.jobs.len() as u64) < admitted {
+                eprintln!(
+                    "replay: {} admitted job(s) never completed",
+                    admitted - m.jobs.len() as u64
+                );
+                std::process::exit(1);
+            }
         }
+        _ => unreachable!("command_flags accepted {cmd}"),
     }
 }
