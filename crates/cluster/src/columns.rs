@@ -94,6 +94,23 @@ impl BitCol {
         })
     }
 
+    /// Index of the `k`-th set bit (counting from 0, ascending), or `None`
+    /// if at most `k` bits are set; skips 64 nodes per word popcount.
+    pub fn nth_set(&self, mut k: usize) -> Option<usize> {
+        for (wi, &w) in self.words.iter().enumerate() {
+            let ones = w.count_ones() as usize;
+            if k < ones {
+                let mut rest = w;
+                for _ in 0..k {
+                    rest &= rest - 1;
+                }
+                return Some(wi * 64 + rest.trailing_zeros() as usize);
+            }
+            k -= ones;
+        }
+        None
+    }
+
     /// Resident bytes of the column's backing storage.
     pub fn resident_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
@@ -133,6 +150,20 @@ mod tests {
         }
         let set: Vec<usize> = col.iter_set().collect();
         assert_eq!(set, vec![3, 64, 700, 999]);
+    }
+
+    #[test]
+    fn nth_set_agrees_with_iter_set() {
+        let mut col = BitCol::new(300, false);
+        for i in [0, 5, 63, 64, 128, 191, 192, 299] {
+            col.set(i, true);
+        }
+        let set: Vec<usize> = col.iter_set().collect();
+        for (k, &i) in set.iter().enumerate() {
+            assert_eq!(col.nth_set(k), Some(i));
+        }
+        assert_eq!(col.nth_set(set.len()), None);
+        assert_eq!(BitCol::new(70, true).nth_set(69), Some(69));
     }
 
     #[test]

@@ -1664,16 +1664,24 @@ impl World {
             self.schedule_reduce_compute(task, job, share);
             return;
         }
-        // Pick a random alive source other than the reducer's node.
-        let sources: Vec<NodeId> = (0..self.cfg.nodes as u32)
-            .map(NodeId)
-            .filter(|&nd| nd != node && self.cols.alive.get(nd.0 as usize))
-            .collect();
-        if sources.is_empty() {
+        // Pick a random alive source other than the reducer's node: the
+        // k-th of them in node order, the draw `rng.choose` would make over
+        // that list, without building it.
+        let alive = &self.cols.alive;
+        let reducer = node.0 as usize;
+        let reducer_alive = alive.get(reducer);
+        let sources = alive.count_ones() - usize::from(reducer_alive);
+        let pick = (sources > 0)
+            .then(|| self.rng.index(sources))
+            .and_then(|k| match alive.nth_set(k) {
+                Some(i) if reducer_alive && i >= reducer => alive.nth_set(k + 1),
+                pick => pick,
+            });
+        let Some(src) = pick else {
             self.schedule_reduce_compute(task, job, share);
             return;
-        }
-        let src = *self.rng.choose(&sources);
+        };
+        let src = NodeId(src as u32);
         let id = TransferId(self.next_xfer);
         self.next_xfer += 1;
         self.net_owner.insert(id, NetOwner::Shuffle { task });

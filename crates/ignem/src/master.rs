@@ -13,6 +13,8 @@
 //! and slaves purge their reference lists to stay consistent with the new
 //! master's empty state (§III-A5).
 
+use std::collections::BTreeMap;
+
 use ignem_dfs::error::DfsError;
 use ignem_dfs::namenode::NameNode;
 use ignem_netsim::rpc::{Epoch, Incarnation};
@@ -346,7 +348,10 @@ impl IgnemMaster {
         }
         let job_input_bytes: u64 = blocks.iter().map(|b| b.bytes).sum();
 
-        let mut batches: IdMap<NodeId, SlaveBatch> = IdMap::new();
+        // Ordered by node like a dense map, but sized by the targets: a
+        // job's replicas are scattered over the cluster, and a dense window
+        // would span (and allocate) up to every node id in between.
+        let mut batches: BTreeMap<NodeId, SlaveBatch> = BTreeMap::new();
         for info in blocks {
             if info.bytes == 0 {
                 continue;
@@ -361,7 +366,8 @@ impl IgnemMaster {
             let epoch = self.epoch;
             for &target in &candidates[..k] {
                 batches
-                    .entry_or_insert_with(target, || SlaveBatch::new(target, epoch))
+                    .entry(target)
+                    .or_insert_with(|| SlaveBatch::new(target, epoch))
                     // lint: allow(Q01, reason = "batch is consumed when the RPC is sent; lives one scheduling round")
                     .migrates
                     .push(MigrateCommand {
@@ -385,7 +391,7 @@ impl IgnemMaster {
         }
 
         let record = self.jobs.entry_or_default(req.job);
-        for slave in batches.keys() {
+        for &slave in batches.keys() {
             if !record.slaves.contains(&slave) {
                 record.slaves.push(slave);
             }

@@ -10,6 +10,14 @@
 //!
 //! The fabric is engine-agnostic like every substrate: drive it with
 //! [`Fabric::advance`] / [`Fabric::next_event`].
+//!
+//! Both calls cost O(busy NICs), not O(cluster size): the fabric keeps the
+//! list of NICs that carry at least one flow and never touches an idle
+//! one. An idle NIC's clock may lag; the next flow added to it catches
+//! the clock up in one step that moves no bytes, so skipping it is exact.
+//! A busy NIC, in contrast, is advanced on every [`Fabric::advance`] even
+//! when nothing on it completes, because splitting its progress into
+//! different steps would round the remaining bytes differently.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -126,6 +134,9 @@ pub struct Fabric {
     config: NetConfig,
     downlinks: Vec<FlowResource>,
     inflight: IdMap<TransferId, Inflight>,
+    /// Indices of the downlinks with at least one active flow, in no
+    /// particular order; every other downlink is idle.
+    busy: Vec<u32>,
 }
 
 impl Fabric {
@@ -146,6 +157,7 @@ impl Fabric {
                 .map(|_| FlowResource::new(config.nic_bandwidth, 0.0))
                 .collect(),
             inflight: IdMap::new(),
+            busy: Vec::new(),
         }
     }
 
@@ -162,6 +174,13 @@ impl Fabric {
     /// Number of in-flight transfers.
     pub fn in_flight(&self) -> usize {
         self.inflight.len()
+    }
+
+    /// Number of NICs carrying at least one in-flight transfer: the size
+    /// that [`advance`](Self::advance) and [`next_event`](Self::next_event)
+    /// scale with.
+    pub fn busy_nics(&self) -> usize {
+        self.busy.len()
     }
 
     /// Starts a transfer of `bytes` from `from` to `to`. Propagation latency
@@ -196,65 +215,86 @@ impl Fabric {
                 started: now,
             },
         );
+        let nic = &mut self.downlinks[to.0 as usize];
+        if nic.active() == 0 {
+            self.busy.push(to.0);
+        }
         // Latency as a "seek" on the receiver NIC; it does not consume
         // bandwidth share (degradation is 0 so seeking flows are harmless).
-        let done =
-            self.downlinks[to.0 as usize].add(now, FlowId(id.0), bytes as f64, self.config.latency);
-        self.collect(to, done)
+        let done = nic.add(now, FlowId(id.0), bytes as f64, self.config.latency);
+        collect(&mut self.inflight, nic.clock(), done)
     }
 
-    /// Cancels an in-flight transfer. Unknown ids are ignored.
+    /// Cancels an in-flight transfer; no completion is reported for it,
+    /// even if it finished before `now` and no [`advance`](Self::advance)
+    /// has reported it yet. Unknown ids are ignored.
     pub fn cancel(&mut self, now: SimTime, id: TransferId) -> Vec<TransferDone> {
-        let Some(info) = self.inflight.get(&id).copied() else {
+        let Some(info) = self.inflight.remove(&id) else {
             return Vec::new();
         };
-        let done = self.downlinks[info.to.0 as usize].cancel(now, FlowId(id.0));
-        self.inflight.remove(&id);
-        self.collect(info.to, done)
+        let nic = &mut self.downlinks[info.to.0 as usize];
+        let mut done = nic.cancel(now, FlowId(id.0));
+        done.retain(|&f| f != FlowId(id.0));
+        if nic.active() == 0 {
+            self.busy.retain(|&i| i != info.to.0);
+        }
+        collect(&mut self.inflight, nic.clock(), done)
     }
 
     /// Earliest instant any transfer state changes, or `None` if idle.
     pub fn next_event(&self) -> Option<SimTime> {
-        self.downlinks
+        self.busy
             .iter()
-            .filter_map(|nic| nic.next_event())
+            .filter_map(|&i| self.downlinks[i as usize].next_event())
             .min()
     }
 
-    /// Advances every NIC to `now` (NICs whose internal clock is already
-    /// past `now` — e.g. because a transfer started on them later — are
-    /// left untouched), returning finished transfers.
+    /// Advances every busy NIC to `now` (NICs whose internal clock is
+    /// already past `now` — e.g. because a transfer started on them later —
+    /// are left untouched), returning finished transfers. Idle NICs are
+    /// skipped (see the crate docs).
     pub fn advance(&mut self, now: SimTime) -> Vec<TransferDone> {
         let mut out = Vec::new();
-        for i in 0..self.downlinks.len() {
-            let t = now.max(self.downlinks[i].clock());
-            let done = self.downlinks[i].advance(t);
-            out.extend(self.collect(NodeId(i as u32), done));
-        }
+        let Fabric {
+            downlinks,
+            inflight,
+            busy,
+            ..
+        } = self;
+        busy.retain(|&i| {
+            let nic = &mut downlinks[i as usize];
+            let done = nic.advance(now.max(nic.clock()));
+            out.extend(collect(inflight, nic.clock(), done));
+            nic.active() > 0
+        });
         out.sort_by_key(|t| (t.finished, t.id));
         out
     }
+}
 
-    fn collect(&mut self, _node: NodeId, flows: Vec<FlowId>) -> Vec<TransferDone> {
-        flows
-            .into_iter()
-            .map(|fid| {
-                let id = TransferId(fid.0);
-                let info = self
-                    .inflight
-                    .remove(&id)
-                    .expect("completion for unknown transfer");
-                TransferDone {
-                    id,
-                    from: info.from,
-                    to: info.to,
-                    bytes: info.bytes,
-                    started: info.started,
-                    finished: self.downlinks[info.to.0 as usize].clock(),
-                }
+/// Retires the transfers behind `flows`, which finished on one NIC whose
+/// clock reads `finished`. Every flow on a NIC has an in-flight entry
+/// until it is collected or cancelled, so none is skipped.
+fn collect(
+    inflight: &mut IdMap<TransferId, Inflight>,
+    finished: SimTime,
+    flows: Vec<FlowId>,
+) -> Vec<TransferDone> {
+    flows
+        .into_iter()
+        .filter_map(|fid| {
+            let id = TransferId(fid.0);
+            let info = inflight.remove(&id)?;
+            Some(TransferDone {
+                id,
+                from: info.from,
+                to: info.to,
+                bytes: info.bytes,
+                started: info.started,
+                finished,
             })
-            .collect()
-    }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -348,6 +388,38 @@ mod tests {
         );
         net.cancel(SimTime::from_secs_f64(0.1), TransferId(1));
         assert_eq!(net.in_flight(), 0);
+        assert!(drain(&mut net).is_empty());
+    }
+
+    #[test]
+    fn only_receivers_with_flows_are_busy() {
+        let mut net = Fabric::new(10_000, NetConfig::default());
+        assert_eq!((net.busy_nics(), net.next_event()), (0, None));
+        net.start(SimTime::ZERO, TransferId(1), NodeId(0), NodeId(7), MB);
+        net.start(SimTime::ZERO, TransferId(2), NodeId(1), NodeId(7), MB);
+        net.start(SimTime::ZERO, TransferId(3), NodeId(2), NodeId(9_999), MB);
+        assert_eq!(net.busy_nics(), 2, "two receivers, whatever the senders");
+        net.cancel(SimTime::ZERO, TransferId(3));
+        assert_eq!(net.busy_nics(), 1);
+        assert_eq!(drain(&mut net).len(), 2);
+        assert_eq!(net.busy_nics(), 0);
+        // A NIC that went idle long ago starts its next transfer on time.
+        let later = SimTime::from_secs_f64(5.0);
+        net.start(later, TransferId(4), NodeId(3), NodeId(9_999), 1250 * MB);
+        let done = drain(&mut net);
+        assert_eq!(done[0].started, later);
+        assert!((done[0].duration().as_secs_f64() - 1.0003).abs() < 1e-3);
+    }
+
+    #[test]
+    fn cancel_after_an_unreported_finish_reports_nothing() {
+        let mut net = Fabric::new(2, NetConfig::default());
+        net.start(SimTime::ZERO, TransferId(1), NodeId(0), NodeId(1), MB);
+        // The transfer finished at ~1.1 ms; the cancel at 1 s catches up
+        // the NIC and finds it done, but the caller already gave it up.
+        let done = net.cancel(SimTime::from_secs_f64(1.0), TransferId(1));
+        assert!(done.is_empty());
+        assert_eq!((net.in_flight(), net.busy_nics()), (0, 0));
         assert!(drain(&mut net).is_empty());
     }
 
