@@ -5,7 +5,7 @@
 //!        [--perfetto-chaos SEED] [--at SEQ] [--at-seed SEED] [SECTION...]
 //!
 //! SECTION: fig1 fig2 fig3 fig4 table1 fig5 table2 fig6 fig7 table3 fig8
-//!          fig9 ablation-priority telemetry profile   (default: all)
+//!          fig9 ablation-priority telemetry   (default: all)
 //! OUT_DIR: where CSVs go (default: ./results)
 //! --trace-out PATH: where the telemetry section writes the run's raw
 //!          event stream as JSONL
@@ -32,7 +32,6 @@ fn is_section(name: &str) -> bool {
         || name.starts_with("ablation")
         || name.starts_with("extension")
         || name == "telemetry"
-        || name == "profile"
         || name == "all"
 }
 
@@ -166,7 +165,6 @@ fn main() {
                 "extension-iterative" => report.extension_iterative(),
                 "extension-caching" => report.extension_caching(),
                 "telemetry" => report.telemetry(),
-                "profile" => report.profile(),
                 other => {
                     eprintln!("unknown section: {other}");
                     std::process::exit(2);

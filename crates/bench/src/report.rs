@@ -10,15 +10,13 @@ use std::path::Path;
 use ignem_cluster::chaos::{run_chaos_observed, ChaosConfig};
 use ignem_cluster::config::{ClusterConfig, FsMode};
 use ignem_cluster::experiment::{
-    run_hive, run_read_micro, run_sort, run_swim, run_swim_observed, run_swim_profiled,
-    run_wordcount,
+    run_hive, run_read_micro, run_sort, run_swim, run_swim_observed, run_wordcount,
 };
 use ignem_cluster::explain::{reconcile_critical_path, JobLeadTime, LossCause, TelemetryReport};
 use ignem_cluster::metrics::RunMetrics;
 use ignem_core::policy::Policy;
 use ignem_simcore::metrics::MetricsReport;
 use ignem_simcore::perfetto;
-use ignem_simcore::profile::HostProfiler;
 use ignem_simcore::rng::SimRng;
 use ignem_simcore::span::SpanForest;
 use ignem_simcore::stats::{Histogram, Samples};
@@ -1196,60 +1194,6 @@ impl Report {
         }
     }
 
-    /// Host-time profile (not a paper figure): reruns the Table I
-    /// SWIM/Ignem run with the [`HostProfiler`] attached, attributing the
-    /// engine's wall-clock time to event-type buckets. The profile is
-    /// purely observational — the simulated run is bit-identical — but
-    /// the wall-clock numbers themselves naturally vary host to host.
-    pub fn profile(&mut self) -> Section {
-        let t0 = crate::timing::wall_clock();
-        let profiler = HostProfiler::new(Box::new(move || t0.elapsed().as_nanos() as u64));
-        let metrics = run_swim_profiled(&self.cfg, FsMode::Ignem, &self.trace, profiler.clone());
-        let mut buckets = profiler.report();
-        let total_nanos: u64 = buckets.iter().map(|(_, b)| b.nanos).sum();
-        let total_events: u64 = buckets.iter().map(|(_, b)| b.count).sum();
-
-        let rows: Vec<Vec<String>> = buckets
-            .iter()
-            .map(|(name, b)| {
-                vec![
-                    name.to_string(),
-                    b.count.to_string(),
-                    (b.nanos / 1_000).to_string(),
-                ]
-            })
-            .collect();
-        write_csv(
-            &self.out,
-            "profile_event_buckets",
-            &["event_kind", "events", "host_us"],
-            &rows,
-        );
-
-        buckets.sort_by(|a, b| b.1.nanos.cmp(&a.1.nanos).then(a.0.cmp(b.0)));
-        let mut text = format!(
-            "Host profile — engine wall-clock by event kind (Table I SWIM/Ignem run)\n\
-             {} events handled in {:.1} ms of host time ({} sim-seconds)\n",
-            total_events,
-            total_nanos as f64 / 1e6,
-            metrics.makespan.as_secs_f64() as u64,
-        );
-        for (name, b) in buckets.iter().take(8) {
-            text.push_str(&format!(
-                "  {:<18} {:>8} events  {:>9.2} ms  {:>5.1}%\n",
-                name,
-                b.count,
-                b.nanos as f64 / 1e6,
-                b.nanos as f64 / (total_nanos.max(1)) as f64 * 100.0
-            ));
-        }
-        text.push_str("full per-kind table in profile_event_buckets.csv");
-        Section {
-            id: "profile",
-            text,
-        }
-    }
-
     /// Runs every section in paper order, then the extended ablations.
     pub fn all(&mut self) -> Vec<Section> {
         vec![
@@ -1275,7 +1219,6 @@ impl Report {
             self.extension_iterative(),
             self.extension_caching(),
             self.telemetry(),
-            self.profile(),
         ]
     }
 }

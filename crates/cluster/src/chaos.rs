@@ -139,6 +139,33 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
+    /// The report of a finished run of `faults`: the killed plans (in
+    /// schedule order) and the fingerprint are derived here.
+    fn new(
+        faults: Vec<(SimTime, Fault)>,
+        total_plans: usize,
+        metrics: RunMetrics,
+        events: Vec<EventRecord>,
+        events_dropped: u64,
+    ) -> ChaosReport {
+        let killed_plans = faults
+            .iter()
+            .filter_map(|(_, f)| match f {
+                Fault::KillPlan(p) => Some(*p),
+                _ => None,
+            })
+            .collect();
+        ChaosReport {
+            faults,
+            killed_plans,
+            total_plans,
+            fingerprint: fingerprint(&metrics),
+            metrics,
+            events,
+            events_dropped,
+        }
+    }
+
     /// Checks the end-state invariants (2–4, 6 and 7 of the module docs;
     /// 1 is enforced per event during the run, 5 by comparing two
     /// reports) without panicking.
@@ -543,32 +570,24 @@ pub fn fingerprint(m: &RunMetrics) -> u64 {
     h.0
 }
 
-/// Runs one chaos experiment with per-event invariant validation,
-/// drawing the fault plan from the seed.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    // The fault plan is drawn from a fork of its own so the workload shape
-    // and the simulation streams are untouched by how many faults we draw.
-    let mut fault_rng = SimRng::new(cfg.seed ^ 0xC4A0_5EED);
-    let faults = generate_faults(
-        &mut fault_rng,
+/// The seed's fault plan. It is drawn from an rng of its own so the
+/// workload shape and the simulation streams are untouched by how many
+/// faults are drawn.
+fn seeded_faults(cfg: &ChaosConfig) -> Vec<(SimTime, Fault)> {
+    generate_faults(
+        &mut SimRng::new(cfg.seed ^ 0xC4A0_5EED),
         cfg.nodes,
         ClusterConfig::default().dfs.replication,
         cfg.jobs,
         cfg.faults,
         cfg.crashes,
-    );
-    run_chaos_with(cfg, faults)
+    )
 }
 
-/// The plans a fault schedule kills, in schedule order.
-fn killed_plans_of(faults: &[(SimTime, Fault)]) -> Vec<usize> {
-    faults
-        .iter()
-        .filter_map(|(_, f)| match f {
-            Fault::KillPlan(p) => Some(*p),
-            _ => None,
-        })
-        .collect()
+/// Runs one chaos experiment with per-event invariant validation,
+/// drawing the fault plan from the seed.
+pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
+    run_chaos_with(cfg, seeded_faults(cfg))
 }
 
 /// Builds the chaos world for `(cfg, faults)` with a fresh
@@ -607,19 +626,15 @@ fn build_chaos_world(
 /// of a generated one — the minimizer's probe, and the replay vehicle for
 /// pinned regression schedules.
 pub fn run_chaos_with(cfg: &ChaosConfig, faults: Vec<(SimTime, Fault)>) -> ChaosReport {
-    let killed_plans = killed_plans_of(&faults);
     let (world, recorder, total_plans) = build_chaos_world(cfg, faults.clone());
     let metrics = world.run();
-    let fp = fingerprint(&metrics);
-    ChaosReport {
+    ChaosReport::new(
         faults,
-        killed_plans,
         total_plans,
         metrics,
-        fingerprint: fp,
-        events: recorder.events(),
-        events_dropped: recorder.dropped(),
-    }
+        recorder.events(),
+        recorder.dropped(),
+    )
 }
 
 /// [`run_chaos`] with a sim-time [`MetricsRegistry`] attached, returning
@@ -630,56 +645,19 @@ pub fn run_chaos_observed(
     cfg: &ChaosConfig,
     window: SimDuration,
 ) -> (ChaosReport, ignem_simcore::metrics::MetricsReport) {
-    let mut fault_rng = SimRng::new(cfg.seed ^ 0xC4A0_5EED);
-    let faults = generate_faults(
-        &mut fault_rng,
-        cfg.nodes,
-        ClusterConfig::default().dfs.replication,
-        cfg.jobs,
-        cfg.faults,
-        cfg.crashes,
-    );
-    let mut cluster = ClusterConfig {
-        nodes: cfg.nodes,
-        seed: cfg.seed,
-        rpc: cfg.rpc,
-        ..ClusterConfig::default()
-    };
-    cluster.ignem.buffer_capacity = 512 * MIB;
-    cluster.ignem.lease = cfg.lease;
-    cluster.validate();
-
-    let killed_plans: Vec<usize> = faults
-        .iter()
-        .filter_map(|(_, f)| match f {
-            Fault::KillPlan(p) => Some(*p),
-            _ => None,
-        })
-        .collect();
-
-    let (files, plans) = workload(cfg.jobs);
-    let total_plans = plans.len();
-    let recorder = FlightRecorder::new(1 << 20);
+    let faults = seeded_faults(cfg);
+    let (world, recorder, total_plans) = build_chaos_world(cfg, faults.clone());
     let registry = ignem_simcore::metrics::MetricsRegistry::new(window);
-    let world = World::new(cluster, FsMode::Ignem, &files, plans, faults.clone())
-        .with_telemetry(Box::new(recorder.clone()))
-        .with_metrics(registry.clone())
-        .with_validation();
-    let metrics = world.run();
-    let report = registry.finish(metrics.makespan);
-    let fp = fingerprint(&metrics);
-    (
-        ChaosReport {
-            faults,
-            killed_plans,
-            total_plans,
-            metrics,
-            fingerprint: fp,
-            events: recorder.events(),
-            events_dropped: recorder.dropped(),
-        },
-        report,
-    )
+    let metrics = world.with_metrics(registry.clone()).run();
+    let windows = registry.finish(metrics.makespan);
+    let report = ChaosReport::new(
+        faults,
+        total_plans,
+        metrics,
+        recorder.events(),
+        recorder.dropped(),
+    );
+    (report, windows)
 }
 
 /// Time-travel debugger: runs the seed's chaos experiment until the
@@ -692,16 +670,7 @@ pub fn run_chaos_observed(
 /// can also reflect the same step's later records). Returns `None` when
 /// the run finishes before ever emitting `seq`.
 pub fn state_at(cfg: &ChaosConfig, seq: u64) -> Option<(EventRecord, String)> {
-    let mut fault_rng = SimRng::new(cfg.seed ^ 0xC4A0_5EED);
-    let faults = generate_faults(
-        &mut fault_rng,
-        cfg.nodes,
-        ClusterConfig::default().dfs.replication,
-        cfg.jobs,
-        cfg.faults,
-        cfg.crashes,
-    );
-    let (mut world, recorder, _) = build_chaos_world(cfg, faults);
+    let (mut world, recorder, _) = build_chaos_world(cfg, seeded_faults(cfg));
     loop {
         let emitted = world.telemetry_cursor().map_or(0, |(_, next)| next);
         if emitted > seq {
@@ -882,15 +851,7 @@ pub fn minimize_faults(cfg: &ChaosConfig) -> Option<MinimizedSchedule> {
 /// (the generator always sorts; the fork bookkeeping relies on it).
 pub fn minimize_faults_with_stats(cfg: &ChaosConfig) -> (Option<MinimizedSchedule>, MinimizeStats) {
     let mut stats = MinimizeStats::default();
-    let mut fault_rng = SimRng::new(cfg.seed ^ 0xC4A0_5EED);
-    let full_faults = generate_faults(
-        &mut fault_rng,
-        cfg.nodes,
-        ClusterConfig::default().dfs.replication,
-        cfg.jobs,
-        cfg.faults,
-        cfg.crashes,
-    );
+    let full_faults = seeded_faults(cfg);
     // Index order must equal injection order: snapshots taken before
     // injection j stay valid when a *later* fault is dropped, and "later"
     // is tracked by index. Sorted times guarantee it (ties pop in
@@ -911,16 +872,13 @@ pub fn minimize_faults_with_stats(cfg: &ChaosConfig) -> (Option<MinimizedSchedul
     for (idx, snap) in captured {
         snaps[idx] = Some(snap);
     }
-    let fp = fingerprint(&metrics);
-    let full_report = ChaosReport {
-        faults: full_faults.clone(),
-        killed_plans: killed_plans_of(&full_faults),
+    let full_report = ChaosReport::new(
+        full_faults.clone(),
         total_plans,
         metrics,
-        fingerprint: fp,
-        events: recorder.events(),
-        events_dropped: recorder.dropped(),
-    };
+        recorder.events(),
+        recorder.dropped(),
+    );
     let mut violation = match full_report.check_invariants() {
         Ok(()) => return (None, stats),
         Err(v) => v,
@@ -1056,16 +1014,13 @@ fn fork_probe(
             let candidate = candidate_faults(full_faults, dropped, k);
             let mut events = prefix;
             events.extend(fork_rec.events());
-            let fp = fingerprint(&metrics);
-            let cand_report = ChaosReport {
-                faults: candidate.clone(),
-                killed_plans: killed_plans_of(&candidate),
+            let cand_report = ChaosReport::new(
+                candidate,
                 total_plans,
                 metrics,
-                fingerprint: fp,
                 events,
-                events_dropped: prefix_dropped + fork_rec.dropped(),
-            };
+                prefix_dropped + fork_rec.dropped(),
+            );
             match cand_report.check_invariants() {
                 Ok(()) => None,
                 Err(v) => Some((v, Some(cand_report))),

@@ -6,7 +6,6 @@ use ignem_core::slave::IgnemConfig;
 use ignem_dfs::namenode::DfsConfig;
 use ignem_netsim::rpc::RpcConfig;
 use ignem_netsim::NetConfig;
-use ignem_simcore::time::SimDuration;
 use ignem_simcore::units::GB;
 use ignem_storage::device::DeviceProfile;
 
@@ -50,10 +49,6 @@ pub struct ClusterConfig {
     /// Control-plane RPC reliability (drop/duplicate/jitter). The default
     /// is perfectly reliable, so fault-free runs are unchanged.
     pub rpc: RpcConfig,
-    /// Interval of the master's reference-list cleanup sweep — the backstop
-    /// that reclaims references a slave acquired from a command delivered
-    /// *after* a master failover purged its state. Zero disables it.
-    pub cleanup_sweep: SimDuration,
     /// DFS parameters (64 MB blocks, 3× replication).
     pub dfs: DfsConfig,
     /// Ignem slave parameters.
@@ -90,7 +85,6 @@ impl Default for ClusterConfig {
             mem_capacity: 128 * GB,
             net: NetConfig::default(),
             rpc: RpcConfig::default(),
-            cleanup_sweep: SimDuration::from_secs(30),
             dfs: DfsConfig::default(),
             ignem: IgnemConfig::default(),
             master: MasterConfig::default(),

@@ -5,6 +5,8 @@
 //! (the `ignem-bench` crate and the examples call them; `EXPERIMENTS.md`
 //! records the outputs).
 
+use std::ops::ControlFlow;
+
 use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
 use ignem_core::command::EvictionMode;
 use ignem_core::policy::Policy;
@@ -35,25 +37,33 @@ pub struct Comparison {
 
 impl Comparison {
     /// Runs the same plan under all three configurations. The three worlds
-    /// are independent, so they run on the [`sweep::parallel_map`] pool
-    /// ([`sweep::default_jobs`] threads); results come back in
+    /// are independent, so they run on the [`sweep::sweep`] pool
+    /// ([`sweep::default_jobs`] threads); results are consumed in
     /// configuration order regardless of which finishes first.
     pub fn run(
         cfg: &ClusterConfig,
         files: &[(String, u64)],
         plan_for: impl Fn(bool) -> Vec<PlannedJob> + Sync,
     ) -> Comparison {
-        let modes = vec![FsMode::Hdfs, FsMode::Ignem, FsMode::HdfsInputsInRam];
-        let mut runs = sweep::parallel_map(modes, sweep::default_jobs(), |mode| {
-            let migrate = matches!(mode, FsMode::Ignem);
-            World::new(cfg.clone(), mode, files, plan_for(migrate), vec![]).run()
-        })
-        .into_iter();
-        Comparison {
-            hdfs: runs.next().expect("hdfs run"),
-            ignem: runs.next().expect("ignem run"),
-            ram: runs.next().expect("ram run"),
-        }
+        const MODES: [FsMode; 3] = [FsMode::Hdfs, FsMode::Ignem, FsMode::HdfsInputsInRam];
+        let mut runs = Vec::with_capacity(MODES.len());
+        sweep::sweep(
+            0,
+            MODES.len() as u64,
+            sweep::default_jobs(),
+            |i| {
+                let mode = MODES[i as usize];
+                let migrate = mode == FsMode::Ignem;
+                World::new(cfg.clone(), mode, files, plan_for(migrate), vec![]).run()
+            },
+            |_, metrics| {
+                runs.push(metrics);
+                ControlFlow::<()>::Continue(())
+            },
+        );
+        let [hdfs, ignem, ram]: [RunMetrics; 3] =
+            runs.try_into().expect("one run per configuration");
+        Comparison { hdfs, ignem, ram }
     }
 }
 
@@ -221,32 +231,6 @@ pub fn run_swim_observed(
     .run();
     let report = registry.finish(metrics.makespan);
     (metrics, recorder, report)
-}
-
-/// Runs the SWIM workload with a [`HostProfiler`] attached, attributing
-/// the engine's host wall-clock time to event-type buckets. The profiler
-/// never influences the simulation — it only measures how long the host
-/// spends handling each event kind — so the returned [`RunMetrics`] are
-/// bit-identical to an unprofiled run.
-///
-/// [`HostProfiler`]: ignem_simcore::profile::HostProfiler
-pub fn run_swim_profiled(
-    cfg: &ClusterConfig,
-    mode: FsMode,
-    trace: &SwimTrace,
-    profiler: ignem_simcore::profile::HostProfiler,
-) -> RunMetrics {
-    let files = swim_files(trace);
-    let migrate = mode == FsMode::Ignem;
-    World::new(
-        cfg.clone(),
-        mode,
-        &files,
-        swim_plan_with(trace, migrate, EvictionMode::Explicit),
-        vec![],
-    )
-    .with_profiler(profiler)
-    .run()
 }
 
 /// Runs the 40 GB sort job (Table III).

@@ -48,7 +48,7 @@ pub mod prelude {
         BlockRead, JobResult, LedgerEntry, PlanResult, ReadKind, ResidencyLedger, RunMetrics,
     };
     pub use crate::sanitizer::{bisect_divergence, Divergence, DoubleRun};
-    pub use crate::sweep::{default_jobs, parallel_map, sweep};
+    pub use crate::sweep::{default_jobs, sweep};
     pub use crate::world::{ArrivalSource, Fault, PlannedJob, World};
 }
 

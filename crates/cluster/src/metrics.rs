@@ -5,7 +5,7 @@ use ignem_core::master::MasterStats;
 use ignem_core::slave::SlaveStats;
 use ignem_netsim::rpc::RpcStats;
 use ignem_simcore::stats::Samples;
-use ignem_simcore::time::{SimDuration, SimTime};
+use ignem_simcore::time::SimTime;
 
 /// Where a block read was served from (collapsed from the DFS planner's
 /// [`ReadSource`](ignem_dfs::client::ReadSource) for reporting).
@@ -305,11 +305,6 @@ impl RunMetrics {
             1.0 - self.mean_plan_duration() / base
         }
     }
-}
-
-/// Convenience: formats a duration as seconds with two decimals.
-pub fn fmt_secs(d: SimDuration) -> String {
-    format!("{:.2}s", d.as_secs_f64())
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Parallel deterministic sweep runner.
 //!
-//! Fans independent pieces of work (chaos seeds, bench worlds) out to a
+//! Fans independent pieces of work (chaos seeds, the three worlds of an
+//! [`experiment::Comparison`](crate::experiment::Comparison)) out to a
 //! scoped-thread worker pool and hands results back **in input order**,
 //! so everything derived from a sweep — printed progress, the exit code,
 //! the minimized-schedule artifact — is byte-identical to a serial run.
@@ -26,7 +27,6 @@
 //! [`World`]: crate::world::World
 
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Default worker count for sweeps: the machine's available parallelism,
@@ -210,49 +210,6 @@ fn seed_count_fits_pointer_width(count: u64, usize_max: u128) -> bool {
     u128::from(count) <= usize_max
 }
 
-/// Maps `f` over `items` on `jobs` scoped worker threads, returning the
-/// results in input order. The order-restoring merge makes the output
-/// independent of worker scheduling, so parallel bench runs stay
-/// bit-reproducible. `jobs <= 1` (or a single item) maps inline.
-pub fn parallel_map<I, T>(items: Vec<I>, jobs: usize, f: impl Fn(I) -> T + Sync) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-{
-    if jobs <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let n = items.len();
-    let work: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let item = work[i]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("each index is claimed exactly once");
-                let value = f(item);
-                *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every slot is filled once the scope joins")
-        })
-        .collect()
-}
-
 /// Distribution summary of one integer metric across the seeds of a
 /// sweep: minimum, nearest-rank median and p99, and maximum. Used to
 /// aggregate per-seed [`MetricsReport`](ignem_simcore::metrics::MetricsReport)
@@ -399,16 +356,6 @@ mod tests {
     fn empty_and_single_item_sweeps_work() {
         assert_eq!(consumed_sequence(4, 3, 0), (vec![], None));
         assert_eq!(consumed_sequence(4, 3, 1), (vec![(3, 31)], None));
-    }
-
-    #[test]
-    fn parallel_map_preserves_input_order() {
-        let items: Vec<u64> = (0..50).collect();
-        let serial = parallel_map(items.clone(), 1, |x| x * x);
-        for jobs in [2, 5] {
-            assert_eq!(parallel_map(items.clone(), jobs, |x| x * x), serial);
-        }
-        assert_eq!(serial[7], 49);
     }
 
     #[test]

@@ -85,7 +85,7 @@
 // runs of the same seed visit entries, and therefore draw randomness and
 // schedule events, in one order. Hash containers are only acceptable for
 // pure point lookups.
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use ignem_compute::job::{JobInput, JobSpec};
 use ignem_compute::slots::Slots;
@@ -116,6 +116,11 @@ use ignem_storage::memstore::{MemStore, Residency};
 use crate::columns::BitCol;
 use crate::config::{ClusterConfig, FsMode};
 use crate::metrics::{BlockRead, JobResult, PlanResult, ReadKind, ResidencyLedger, RunMetrics};
+
+/// Interval of the master's reference-list cleanup sweep — the backstop
+/// that reclaims references a slave acquired from a command delivered
+/// *after* a master failover purged its state.
+const CLEANUP_SWEEP: SimDuration = SimDuration::from_secs(30);
 
 /// One workload entry: a job (or multi-stage query) with a submission time.
 #[derive(Debug, Clone)]
@@ -216,8 +221,8 @@ enum Event {
     Submit(usize),
     Queued(JobId),
     Heartbeat(u32),
-    DiskTimer(u32, u64),
-    RamTimer(u32, u64),
+    /// Completion timer of one node's storage device (generation-guarded).
+    IoTimer(Device, u32, u64),
     NetTimer(u64),
     TaskLaunched(TaskId),
     TaskComputeDone(TaskId),
@@ -266,8 +271,8 @@ impl Event {
             Event::Submit(..) => "submit",
             Event::Queued(..) => "queued",
             Event::Heartbeat(..) => "heartbeat",
-            Event::DiskTimer(..) => "disk_timer",
-            Event::RamTimer(..) => "ram_timer",
+            Event::IoTimer(Device::Disk, ..) => "disk_timer",
+            Event::IoTimer(Device::Ram, ..) => "ram_timer",
             Event::NetTimer(..) => "net_timer",
             Event::TaskLaunched(..) => "task_launched",
             Event::TaskComputeDone(..) => "task_compute_done",
@@ -291,6 +296,17 @@ impl Event {
             Event::Inject(..) => "inject",
         }
     }
+}
+
+/// Which of a node's two storage devices an IO runs on. Both are
+/// [`Disk`] models; the discriminant orders the device tables (every
+/// node's disk, then every node's RAM path).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Device {
+    /// The data disk.
+    Disk,
+    /// The memory read path (the mmap/short-circuit pipeline).
+    Ram,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -326,6 +342,24 @@ enum NetOwner {
     },
 }
 
+/// Everything the world tracks about one submitted job (one stage of a
+/// plan). The spec is not copied: it is `plans[plan].stages[stage]`.
+#[derive(Debug, Clone)]
+struct JobRecord {
+    plan: usize,
+    stage: usize,
+    submitted: SimTime,
+    /// Cleared when the job's plan is killed. A killed job keeps its
+    /// record, because its running tasks drain and still read the spec.
+    live: bool,
+    /// The master accepted the submitter's migrate request: completion
+    /// sends the evict, and recovery re-ignites the job while it is live.
+    migrated: bool,
+    /// The hypothetical scheme's `(node, bytes)` holdings, released when
+    /// the job completes or is killed.
+    hyp: Vec<(u32, u64)>,
+}
+
 #[derive(Debug, Clone)]
 struct PlanState {
     current_stage: usize,
@@ -353,20 +387,19 @@ struct NodeColumns {
     hb_live: BitCol,
     /// Control-plane pause end (gray fault); `SimTime::MAX` = responsive.
     paused_until: Vec<SimTime>,
-    /// Disk-completion timer generation (guards stale [`Event::DiskTimer`]).
-    disk_gen: Vec<u64>,
-    /// RAM-completion timer generation (guards stale [`Event::RamTimer`]).
-    ram_gen: Vec<u64>,
+    /// Device-completion timer generation per device index (guards stale
+    /// [`Event::IoTimer`]s; see [`World::devices`]).
+    io_gen: Vec<u64>,
     /// Lease-timer generation; bumped on every reschedule so superseded
     /// [`Event::LeaseCheck`]s are ignored.
     lease_gen: Vec<u64>,
     /// `(slave, mem)` version stamps at the last clean audit; `u64::MAX`
     /// sentinels force the first per-event validation pass.
     validated: Vec<(u64, u64)>,
-    /// Per-node IO request counter. [`RequestId`]s only ever meet
-    /// per-node maps (`disk_owner`/`ram_owner`, per-disk queues), so
-    /// per-node allocation keeps each [`IdMap`] window as wide as one
-    /// node's in-flight IO instead of the whole cluster's — the
+    /// Per-node IO request counter, shared by the node's two devices.
+    /// [`RequestId`]s only ever meet per-device maps (`io_owner`, device
+    /// queues), so per-node allocation keeps each [`IdMap`] window as wide
+    /// as one device's in-flight IO instead of the whole cluster's — the
     /// difference between kilobytes and megabytes per node at 12k nodes.
     next_req: Vec<u64>,
 }
@@ -379,8 +412,7 @@ impl NodeColumns {
             crashed_ever: BitCol::new(nodes, false),
             hb_live: BitCol::new(nodes, true),
             paused_until: vec![SimTime::MAX; nodes],
-            disk_gen: vec![0; nodes],
-            ram_gen: vec![0; nodes],
+            io_gen: vec![0; 2 * nodes],
             lease_gen: vec![0; nodes],
             validated: vec![(u64::MAX, u64::MAX); nodes],
             next_req: vec![0; nodes],
@@ -401,7 +433,7 @@ impl NodeColumns {
 /// The integrated simulator (see module docs).
 ///
 /// `Clone` copies the *deterministic* state structurally — engine queue
-/// (slot slab, generation stamps, insertion seq), every component, both
+/// (timing wheel, payload arena, insertion seq), every component, both
 /// RNG streams — while the observability handles ([`Telemetry`],
 /// [`MetricsRegistry`], [`HostProfiler`]) clone as shared references.
 /// [`World::snapshot`]/[`World::restore`] build on this: see
@@ -417,8 +449,10 @@ pub struct World {
     master: IgnemMaster,
     slaves: Vec<IgnemSlave>,
     mems: Vec<MemStore<BlockId>>,
-    disks: Vec<Disk>,
-    rams: Vec<Disk>,
+    /// Every node's data disk (device index `n`), then every node's
+    /// memory read path (`nodes + n`): see [`World::device_index`]. A
+    /// node index is therefore also its disk's device index.
+    devices: Vec<Disk>,
     net: Fabric,
     /// Columnar per-node hot state (liveness bitmaps, pause sentinels,
     /// timer generations, request counters); see [`NodeColumns`].
@@ -441,13 +475,11 @@ pub struct World {
     next_job: u64,
     next_xfer: u64,
 
-    /// Owner maps are per-node dense [`IdMap`]s: cancellation sweeps iterate
-    /// them node 0..N, then ascending [`RequestId`] within a node — the same
-    /// lexicographic `(node, request)` order the old `BTreeMap<(u32,
-    /// RequestId), _>` gave — and that order decides the order IO
+    /// Owner maps are per-device dense [`IdMap`]s in device-index order:
+    /// cancellation sweeps iterate them node 0..N, then ascending
+    /// [`RequestId`] within a node, and that order decides the order IO
     /// cancellations (and their randomness draws) happen in.
-    disk_owner: Vec<IdMap<RequestId, DiskOwner>>,
-    ram_owner: Vec<IdMap<RequestId, DiskOwner>>,
+    io_owner: Vec<IdMap<RequestId, DiskOwner>>,
     net_owner: IdMap<TransferId, NetOwner>,
     migration_req: HashMap<(u32, BlockId), RequestId>,
 
@@ -458,15 +490,12 @@ pub struct World {
     /// [`Event::Arrival`] is currently scheduled.
     arrivals: Option<Box<dyn ArrivalSource>>,
     next_arrival: Option<PlannedJob>,
-    job_to_plan: IdMap<JobId, (usize, usize)>,
+    /// Submitted jobs, in job-id order (the order recovery and kill
+    /// sweeps visit them). A record is dropped when its job completes.
+    jobs: IdMap<JobId, JobRecord>,
     task_launched_at: HashMap<TaskId, SimTime>,
-    job_submit_time: HashMap<JobId, SimTime>,
-    job_spec: HashMap<JobId, JobSpec>,
-    job_migrated: HashSet<JobId>,
-    live_jobs: HashSet<JobId>,
 
     hypothetical: Vec<TimeWeighted>,
-    hyp_assign: HashMap<JobId, Vec<(u32, u64)>>,
 
     faults: Vec<(SimTime, Fault)>,
     /// Faults whose [`Event::Inject`] has been neutralized: the event
@@ -505,10 +534,10 @@ pub struct World {
 /// by [`World::restore`].
 ///
 /// **Captured:** every bit of deterministic simulation state — the
-/// engine's event queue (slot slab, generation stamps, insertion
+/// engine's event queue (timing wheel, payload arena, insertion
 /// sequence, clock, processed count), NameNode, master, slaves, MemStores,
-/// disks, fabric, RPC channel with its in-flight retransmissions, both
-/// RNG streams, the residency ledger, accumulated run metrics, fault
+/// storage devices, fabric, RPC channel with its in-flight
+/// retransmissions, both RNG streams, the residency ledger, accumulated run metrics, fault
 /// suppression flags, and the telemetry/metrics *cursors* (emission seq,
 /// open metrics window and totals).
 ///
@@ -591,8 +620,10 @@ impl World {
         let slaves = (0..cfg.nodes)
             .map(|n| IgnemSlave::new(NodeId(n as u32), cfg.ignem))
             .collect();
-        let disks = (0..cfg.nodes).map(|_| Disk::new(cfg.disk)).collect();
-        let rams = (0..cfg.nodes).map(|_| Disk::new(cfg.ram)).collect();
+        let devices = (0..cfg.nodes)
+            .map(|_| Disk::new(cfg.disk))
+            .chain((0..cfg.nodes).map(|_| Disk::new(cfg.ram)))
+            .collect();
         let net = Fabric::new(cfg.nodes, cfg.net);
         let slots = Slots::new(cfg.nodes, cfg.compute.slots_per_node);
 
@@ -615,8 +646,8 @@ impl World {
         for (i, (at, _)) in faults.iter().enumerate() {
             engine.schedule_at(*at, Event::Inject(i));
         }
-        if mode == FsMode::Ignem && !cfg.cleanup_sweep.is_zero() {
-            engine.schedule_at(SimTime::ZERO + cfg.cleanup_sweep, Event::CleanupSweep);
+        if mode == FsMode::Ignem {
+            engine.schedule_at(SimTime::ZERO + CLEANUP_SWEEP, Event::CleanupSweep);
         }
 
         let unfinished = plans.len();
@@ -637,8 +668,7 @@ impl World {
             master: IgnemMaster::with_config(cfg.master),
             slaves,
             mems,
-            disks,
-            rams,
+            devices,
             net,
             cols: NodeColumns::new(cfg.nodes),
             rpc: RpcChannel::new(cfg.rpc),
@@ -650,24 +680,18 @@ impl World {
             slots,
             next_job: 0,
             next_xfer: 0,
-            disk_owner: (0..cfg.nodes).map(|_| IdMap::new()).collect(),
-            ram_owner: (0..cfg.nodes).map(|_| IdMap::new()).collect(),
+            io_owner: (0..2 * cfg.nodes).map(|_| IdMap::new()).collect(),
             net_owner: IdMap::new(),
             migration_req: HashMap::new(),
             plans,
             plan_state,
             arrivals: None,
             next_arrival: None,
-            job_to_plan: IdMap::new(),
+            jobs: IdMap::new(),
             task_launched_at: HashMap::new(),
-            job_submit_time: HashMap::new(),
-            job_spec: HashMap::new(),
-            job_migrated: HashSet::new(),
-            live_jobs: HashSet::new(),
             hypothetical: (0..cfg.nodes)
                 .map(|_| TimeWeighted::new(0.0, true))
                 .collect(),
-            hyp_assign: HashMap::new(),
             suppressed_faults: vec![false; faults.len()],
             faults,
             unfinished_plans: unfinished,
@@ -732,7 +756,7 @@ impl World {
             slave.set_metrics(reg.clone());
         }
         self.rpc.set_metrics(reg.clone());
-        for (n, d) in self.disks.iter_mut().enumerate() {
+        for (n, d) in self.devices[..self.cfg.nodes].iter_mut().enumerate() {
             d.set_metrics(reg.clone(), n as u64);
         }
         self.mreg = reg;
@@ -745,11 +769,6 @@ impl World {
     pub fn with_profiler(mut self, profiler: HostProfiler) -> Self {
         self.profiler = profiler;
         self
-    }
-
-    /// The NameNode (for test assertions and custom setup).
-    pub fn namenode(&self) -> &NameNode {
-        &self.namenode
     }
 
     /// Enables per-event invariant checking: after every event, each alive
@@ -985,9 +1004,12 @@ impl World {
                 seq, to.0
             );
         }
-        // lint: allow(D02, reason = "collected into a Vec and sorted before rendering")
-        let mut jobs: Vec<u64> = self.live_jobs.iter().map(|j| j.0).collect();
-        jobs.sort_unstable();
+        let jobs: Vec<u64> = self
+            .jobs
+            .iter()
+            .filter(|(_, r)| r.live)
+            .map(|(j, _)| j.0)
+            .collect();
         let _ = writeln!(
             out,
             "  jobs: live={jobs:?} unfinished_plans={}",
@@ -1036,7 +1058,7 @@ impl World {
                 slave.queue_len(),
                 slave.in_flight_migrations(),
                 slave.total_references(),
-                self.disks[n].in_flight(),
+                self.devices[n].in_flight(),
             );
             for (job, expiry) in slave.leases() {
                 let _ = writeln!(out, "    lease job={} expires={expiry}", job.0);
@@ -1094,7 +1116,10 @@ impl World {
                 metrics.final_migrated_bytes += self.mems[n].migrated_used();
             }
         }
-        metrics.disk_utilization = self.disks.iter().map(|d| d.utilization(end)).collect();
+        metrics.disk_utilization = self.devices[..self.cfg.nodes]
+            .iter()
+            .map(|d| d.utilization(end))
+            .collect();
         metrics.recovery = self.check_recovery();
         metrics
     }
@@ -1113,8 +1138,7 @@ impl World {
             Event::Submit(plan) => self.on_submit(plan),
             Event::Queued(job) => self.on_queued(job),
             Event::Heartbeat(n) => self.on_heartbeat(n),
-            Event::DiskTimer(n, gen) => self.on_disk_timer(n, gen),
-            Event::RamTimer(n, gen) => self.on_ram_timer(n, gen),
+            Event::IoTimer(device, n, gen) => self.on_io_timer(device, n, gen),
             Event::NetTimer(gen) => self.on_net_timer(gen),
             Event::TaskLaunched(t) => self.on_task_launched(t),
             Event::TaskComputeDone(t) => self.on_task_compute_done(t),
@@ -1208,7 +1232,6 @@ impl World {
         }
         let now = self.engine.now();
         let stage = self.plan_state[plan].current_stage;
-        let spec = self.plans[plan].stages[stage].clone();
         let job = JobId(self.next_job);
         self.next_job += 1;
         self.telemetry.emit(|| TelemetryEvent::JobSubmitted {
@@ -1217,18 +1240,21 @@ impl World {
             plan: plan as u64,
             stage: stage as u64,
         });
-        self.job_to_plan.insert(job, (plan, stage));
-        self.job_submit_time.insert(job, now);
-        self.live_jobs.insert(job);
+        let spec = &self.plans[plan].stages[stage];
         if self.plan_state[plan].submitted_at.is_none() {
             self.plan_state[plan].submitted_at = Some(now);
-            self.plan_state[plan].stage1_input = self.input_bytes_of(&spec);
+            self.plan_state[plan].stage1_input = self.input_bytes_of(spec);
         }
+        // Lead-time sources between submission and schedulability: the
+        // submitter itself, any artificial sleep (Fig. 8), and AM startup.
+        let delay = self.cfg.compute.submit_overhead
+            + spec.submit.extra_lead_time
+            + self.cfg.compute.am_overhead;
 
         // Hypothetical instantaneous scheme: whole input appears in memory
         // (one replica per block) at submission, vanishes at completion.
+        let mut hyp: Vec<(u32, u64)> = Vec::new();
         if let JobInput::DfsFiles(files) = &spec.input {
-            let mut assigns: Vec<(u32, u64)> = Vec::new();
             for f in files {
                 for info in self.namenode.file_blocks(f).expect("input file missing") {
                     let locs = self.namenode.locations(info.id).expect("block vanished");
@@ -1236,53 +1262,71 @@ impl World {
                         continue;
                     }
                     let n = self.rng.choose(&locs).0;
-                    assigns.push((n, info.bytes));
+                    hyp.push((n, info.bytes));
                 }
             }
-            for &(n, bytes) in &assigns {
+            for &(n, bytes) in &hyp {
                 self.hypothetical[n as usize].add(now, bytes as f64);
             }
-            self.hyp_assign.insert(job, assigns);
         }
 
         // The job-submitter's Ignem hook.
-        if let (FsMode::Ignem, Some(mode)) = (self.mode, spec.submit.migrate) {
-            if let JobInput::DfsFiles(files) = &spec.input {
-                let req = MigrateRequest {
-                    job,
-                    files: files.clone(),
-                    mode,
-                    submitted: now,
-                };
-                match self
-                    .master
-                    .handle_migrate(&req, &self.namenode, &mut self.rng)
-                {
-                    Ok(batches) => {
-                        self.job_migrated.insert(job);
-                        for b in batches {
-                            self.master_send(b.to.0, RpcPayload::Migrates(b.migrates));
-                        }
+        let mut migrated = false;
+        if let (FsMode::Ignem, Some(mode), JobInput::DfsFiles(files)) =
+            (self.mode, spec.submit.migrate, &spec.input)
+        {
+            let req = MigrateRequest {
+                job,
+                files: files.clone(),
+                mode,
+                submitted: now,
+            };
+            match self
+                .master
+                .handle_migrate(&req, &self.namenode, &mut self.rng)
+            {
+                Ok(batches) => {
+                    migrated = true;
+                    for b in batches {
+                        self.master_send(b.to.0, RpcPayload::Migrates(b.migrates));
                     }
-                    Err(e) => {
-                        // Migration is best-effort: a bad request must not
-                        // take the simulation down — the job just reads cold.
-                        self.telemetry.emit(|| TelemetryEvent::MigrationRejected {
-                            job: job.0,
-                            reason: e.to_string(),
-                        });
-                    }
+                }
+                Err(e) => {
+                    // Migration is best-effort: a bad request must not
+                    // take the simulation down — the job just reads cold.
+                    self.telemetry.emit(|| TelemetryEvent::MigrationRejected {
+                        job: job.0,
+                        reason: e.to_string(),
+                    });
                 }
             }
         }
 
-        self.job_spec.insert(job, spec.clone());
-        // Lead-time sources between submission and schedulability: the
-        // submitter itself, any artificial sleep (Fig. 8), and AM startup.
-        let delay = self.cfg.compute.submit_overhead
-            + spec.submit.extra_lead_time
-            + self.cfg.compute.am_overhead;
+        self.jobs.insert(
+            job,
+            JobRecord {
+                plan,
+                stage,
+                submitted: now,
+                live: true,
+                migrated,
+                hyp,
+            },
+        );
         self.engine.schedule_in(delay, Event::Queued(job));
+    }
+
+    /// Whether `job` is submitted, unfinished and not killed.
+    fn job_live(&self, job: JobId) -> bool {
+        self.jobs.get(&job).is_some_and(|r| r.live)
+    }
+
+    /// The spec of a submitted, unfinished job (killed jobs included:
+    /// their draining tasks still read it).
+    fn spec(&self, job: JobId) -> &JobSpec {
+        // lint: allow(P02, reason = "records live from submission until the job completes; only tasks of unfinished jobs ask")
+        let rec = &self.jobs[&job];
+        &self.plans[rec.plan].stages[rec.stage]
     }
 
     fn input_bytes_of(&self, spec: &JobSpec) -> u64 {
@@ -1296,13 +1340,13 @@ impl World {
     }
 
     fn on_queued(&mut self, job: JobId) {
-        if !self.live_jobs.contains(&job) {
+        if !self.job_live(job) {
             return; // killed while in the submitter
         }
         self.telemetry
             .emit(|| TelemetryEvent::JobScheduled { job: job.0 });
         let now = self.engine.now();
-        let spec = self.job_spec[&job].clone();
+        let spec = self.spec(job);
         let inputs: Vec<MapInput> = match &spec.input {
             JobInput::DfsFiles(files) => {
                 let mut v = Vec::new();
@@ -1326,12 +1370,13 @@ impl World {
                 })
                 .collect(),
         };
-        let submitted = self.job_submit_time[&job];
         if inputs.is_empty() {
             // Degenerate job (zero-byte input): completes instantly.
-            self.finish_job_record(job, submitted, now, &spec);
+            self.finish_job(job);
             return;
         }
+        let spec = spec.clone();
+        let submitted = self.jobs[&job].submitted;
         self.tracker.submit(job, spec, submitted, now, &inputs);
     }
 
@@ -1444,43 +1489,27 @@ impl World {
     /// Cancels any in-flight IO owned by `task` (a cancelled speculative
     /// attempt).
     fn cancel_task_io(&mut self, task: TaskId) {
-        let now = self.engine.now();
         // Owner maps iterate in key order (node 0..N, then ascending
-        // request id), so two runs with the same seed cancel (and thus
-        // draw randomness) in the same order.
-        let disk_keys: Vec<(u32, RequestId)> = self
-            .disk_owner
-            .iter()
-            .enumerate()
-            .flat_map(|(n, owners)| {
-                owners
-                    .iter()
-                    .filter(|(_, o)| matches!(o, DiskOwner::MapRead { task: t, .. } if *t == task))
-                    .map(move |(req, _)| (n as u32, req))
-            })
-            .collect();
-        for key in disk_keys {
-            self.disk_owner[key.0 as usize].remove(&key.1);
-            let done = self.disks[key.0 as usize].cancel(now, key.1);
-            self.process_disk(key.0, done);
-            self.resched_disk(key.0);
-        }
-        let ram_keys: Vec<(u32, RequestId)> = self
-            .ram_owner
-            .iter()
-            .enumerate()
-            .flat_map(|(n, owners)| {
-                owners
-                    .iter()
-                    .filter(|(_, o)| matches!(o, DiskOwner::MapRead { task: t, .. } if *t == task))
-                    .map(move |(req, _)| (n as u32, req))
-            })
-            .collect();
-        for key in ram_keys {
-            self.ram_owner[key.0 as usize].remove(&key.1);
-            let done = self.rams[key.0 as usize].cancel(now, key.1);
-            self.process_ram(key.0, done);
-            self.resched_ram(key.0);
+        // request id), disks before RAM paths, so two runs with the same
+        // seed cancel (and thus draw randomness) in the same order.
+        let nodes = self.cfg.nodes;
+        for device in [Device::Disk, Device::Ram] {
+            let first = self.device_index(device, 0);
+            let keys: Vec<(u32, RequestId)> = self.io_owner[first..first + nodes]
+                .iter()
+                .enumerate()
+                .flat_map(|(n, owners)| {
+                    owners
+                        .iter()
+                        .filter(
+                            |(_, o)| matches!(o, DiskOwner::MapRead { task: t, .. } if *t == task),
+                        )
+                        .map(move |(req, _)| (n as u32, req))
+                })
+                .collect();
+            for (n, req) in keys {
+                self.cancel_io(device, n, req);
+            }
         }
         let xfers: Vec<TransferId> = self
             .net_owner
@@ -1489,10 +1518,7 @@ impl World {
             .map(|(k, _)| k)
             .collect();
         for id in xfers {
-            self.net_owner.remove(&id);
-            let done = self.net.cancel(now, id);
-            self.process_net(done);
-            self.resched_net();
+            self.cancel_net(id);
         }
     }
 
@@ -1579,7 +1605,7 @@ impl World {
                 serving: node.0,
                 started: now,
             };
-            self.submit_ram(node.0, bytes, owner);
+            self.submit_io(Device::Ram, node.0, IoKind::Read, bytes, owner);
             return;
         };
         let source = {
@@ -1612,7 +1638,7 @@ impl World {
                     serving: node.0,
                     started: now,
                 };
-                self.submit_ram(node.0, bytes, owner);
+                self.submit_io(Device::Ram, node.0, IoKind::Read, bytes, owner);
             }
             ReadSource::RemoteMemory(holder) => {
                 let id = TransferId(self.next_xfer);
@@ -1627,8 +1653,7 @@ impl World {
                     },
                 );
                 let done = self.net.start(now, id, holder, node, bytes.max(1));
-                self.process_net(done);
-                self.resched_net();
+                self.settle_net(done);
             }
             ReadSource::LocalDisk => {
                 let owner = DiskOwner::MapRead {
@@ -1638,7 +1663,7 @@ impl World {
                     serving: node.0,
                     started: now,
                 };
-                self.submit_disk(node.0, IoKind::Read, bytes, owner);
+                self.submit_io(Device::Disk, node.0, IoKind::Read, bytes, owner);
             }
             ReadSource::RemoteDisk(r) => {
                 // Bottlenecked by the remote disk (10 GbE is faster).
@@ -1649,14 +1674,14 @@ impl World {
                     serving: r.0,
                     started: now,
                 };
-                self.submit_disk(r.0, IoKind::Read, bytes, owner);
+                self.submit_io(Device::Disk, r.0, IoKind::Read, bytes, owner);
             }
         }
     }
 
     fn start_shuffle(&mut self, task: TaskId, node: NodeId, job: JobId) {
         let now = self.engine.now();
-        let spec = &self.job_spec[&job];
+        let spec = self.spec(job);
         let reducers = spec.reducers.max(1) as u64;
         let share = spec.shuffle_bytes / reducers;
         let remote = share * (self.cfg.nodes as u64 - 1) / self.cfg.nodes as u64;
@@ -1686,14 +1711,12 @@ impl World {
         self.next_xfer += 1;
         self.net_owner.insert(id, NetOwner::Shuffle { task });
         let done = self.net.start(now, id, src, node, remote);
-        self.process_net(done);
-        self.resched_net();
+        self.settle_net(done);
     }
 
     fn schedule_reduce_compute(&mut self, task: TaskId, job: JobId, share: u64) {
-        // lint: allow(P02, reason = "specs are inserted at submission and live until the job finishes")
-        let spec = &self.job_spec[&job];
-        let secs = share as f64 / spec.reduce_cpu_rate * self.jitter();
+        let rate = self.spec(job).reduce_cpu_rate;
+        let secs = share as f64 / rate * self.jitter();
         self.engine.schedule_in(
             SimDuration::from_secs_f64(secs),
             Event::TaskComputeDone(task),
@@ -1719,12 +1742,11 @@ impl World {
         };
         if let TaskKind::Reduce { .. } = rec.kind {
             // Write this reducer's output share (buffered; flush contends).
-            let spec = &self.job_spec[&rec.job];
+            let spec = self.spec(rec.job);
             let share = spec.output_bytes / spec.reducers.max(1) as u64;
             if share > 0 {
-                let done = self.disks[node.0 as usize].buffered_write(now, share);
-                self.process_disk(node.0, done);
-                self.resched_disk(node.0);
+                let done = self.devices[node.0 as usize].buffered_write(now, share);
+                self.settle_io(Device::Disk, node.0, done);
             }
         }
         let outcome = self.tracker.complete(now, task);
@@ -1753,7 +1775,7 @@ impl World {
             }
         }
         if outcome.job_finished {
-            self.on_job_finished(rec.job);
+            self.finish_job(rec.job);
         }
         // Tez container reuse: the freed slot takes another task at once.
         if self.cols.alive.get(node.0 as usize) {
@@ -1761,24 +1783,25 @@ impl World {
         }
     }
 
-    fn on_job_finished(&mut self, job: JobId) {
+    fn finish_job(&mut self, job: JobId) {
         let now = self.engine.now();
-        let spec = self.job_spec[&job].clone();
-        let submitted = self.job_submit_time[&job];
-        self.finish_job_record(job, submitted, now, &spec);
-    }
-
-    fn finish_job_record(&mut self, job: JobId, submitted: SimTime, now: SimTime, spec: &JobSpec) {
-        let (plan, stage) = self.job_to_plan[&job];
-        self.live_jobs.remove(&job);
+        let Some(JobRecord {
+            plan,
+            stage,
+            submitted,
+            migrated,
+            hyp,
+            ..
+        }) = self.jobs.remove(&job)
+        else {
+            return;
+        };
         // Hypothetical scheme evicts at completion.
-        if let Some(assigns) = self.hyp_assign.remove(&job) {
-            for (n, bytes) in assigns {
-                self.hypothetical[n as usize].add(now, -(bytes as f64));
-            }
+        for (n, bytes) in hyp {
+            self.hypothetical[n as usize].add(now, -(bytes as f64));
         }
         // Job completion evict (paper: the submitter issues it).
-        if self.job_migrated.remove(&job) {
+        if migrated {
             for b in self.master.handle_evict(job) {
                 for j in b.evicts {
                     self.master_send(b.to.0, RpcPayload::Evict(j));
@@ -1789,14 +1812,16 @@ impl World {
             job: job.0,
             duration_us: now.duration_since(submitted).as_micros(),
         });
-        self.metrics.jobs.push(JobResult {
+        let spec = &self.plans[plan].stages[stage];
+        let result = JobResult {
             name: spec.name.clone(),
             plan,
             stage,
             input_bytes: self.input_bytes_of(spec),
             submitted,
             duration: now.duration_since(submitted).as_secs_f64(),
-        });
+        };
+        self.metrics.jobs.push(result);
         // Advance the plan.
         let state = &mut self.plan_state[plan];
         if stage + 1 < self.plans[plan].stages.len() {
@@ -1813,16 +1838,12 @@ impl World {
             });
             self.unfinished_plans -= 1;
             // A finished plan is never submitted or killed again (both
-            // paths gate on `finished`); dropping its stage specs keeps a
-            // streamed month-long run's footprint proportional to *live*
-            // jobs, not total jobs admitted.
+            // paths gate on `finished`) and its last job's record is gone;
+            // dropping its stage specs keeps a streamed month-long run's
+            // footprint proportional to *live* jobs, not total jobs
+            // admitted.
             self.plans[plan].stages = Vec::new();
         }
-        // Same reasoning for the per-job records: every later lookup
-        // (re-ignition, stragglers, task paths) filters on live jobs.
-        self.job_spec.remove(&job);
-        self.job_submit_time.remove(&job);
-        self.job_to_plan.remove(&job);
     }
 
     // ------------------------------------------------------------------
@@ -1839,8 +1860,7 @@ impl World {
         self.dispatch_send(seq, to, payload, epoch, incarnation, timeout);
     }
 
-    /// Sends one (re)transmission attempt: schedules a delivery event for
-    /// every copy the channel lets through, plus the ack timeout. The
+    /// Sends one (re)transmission attempt, plus its ack timeout. The
     /// epoch and incarnation travel with the message — a retransmission
     /// from before a master failover still carries its *original* epoch,
     /// and one from before a slave crash its *original* incarnation; the
@@ -1854,36 +1874,38 @@ impl World {
         incarnation: Incarnation,
         timeout: SimDuration,
     ) {
-        let rpc = self.net.rpc_latency();
-        let copies = self.rpc.deliveries(
-            &mut self.rpc_rng,
-            RpcPeer::Master,
-            RpcPeer::Slave(NodeId(to)),
-        );
-        for extra in copies {
-            let ev = match &payload {
-                RpcPayload::Migrates(cmds) => {
-                    Event::DeliverMigrates(to, seq, epoch, incarnation, cmds.clone())
-                }
-                RpcPayload::Evict(job) => Event::DeliverEvict(to, seq, epoch, incarnation, *job),
-            };
-            self.engine.schedule_in(rpc + extra, ev);
-        }
+        let ev = match payload {
+            RpcPayload::Migrates(cmds) => Event::DeliverMigrates(to, seq, epoch, incarnation, cmds),
+            RpcPayload::Evict(job) => Event::DeliverEvict(to, seq, epoch, incarnation, job),
+        };
+        self.rpc_send(RpcPeer::Master, RpcPeer::Slave(NodeId(to)), ev);
         self.engine.schedule_in(timeout, Event::RpcTimeout(seq));
+    }
+
+    /// Sends one control-plane message through the lossy channel: every
+    /// copy the channel lets through (none when it drops or cuts the
+    /// message, two when it duplicates it) arrives one RPC latency plus
+    /// that copy's extra delay later. Every master↔slave message goes
+    /// through here.
+    fn rpc_send(&mut self, from: RpcPeer, to: RpcPeer, ev: Event) {
+        let rpc = self.net.rpc_latency();
+        let copies = self.rpc.deliveries(&mut self.rpc_rng, from, to);
+        if let Some((last, earlier)) = copies.as_slice().split_last() {
+            for &extra in earlier {
+                self.engine.schedule_in(rpc + extra, ev.clone());
+            }
+            self.engine.schedule_in(rpc + *last, ev);
+        }
     }
 
     /// Routes a slave's acknowledgement back to the master (also lossy: a
     /// lost ack triggers a retransmission the slave absorbs idempotently).
     fn slave_ack(&mut self, n: u32, seq: SeqNo) {
-        let rpc = self.net.rpc_latency();
-        let copies = self.rpc.deliveries(
-            &mut self.rpc_rng,
+        self.rpc_send(
             RpcPeer::Slave(NodeId(n)),
             RpcPeer::Master,
+            Event::DeliverAck(seq),
         );
-        for extra in copies {
-            self.engine.schedule_in(rpc + extra, Event::DeliverAck(seq));
-        }
     }
 
     fn on_rpc_timeout(&mut self, seq: SeqNo) {
@@ -1901,14 +1923,44 @@ impl World {
         }
     }
 
-    /// Whether the node's control plane is paused; if so, re-queues `ev` for
-    /// the resume instant and returns true.
-    fn defer_if_paused(&mut self, n: u32, ev: Event) -> bool {
-        if let Some(until) = self.cols.paused(n as usize) {
-            self.engine.schedule_at(until, ev);
-            return true;
+    /// The prologue every master→slave delivery runs before the slave
+    /// sees it. Returns the slave's epoch-adoption actions when the
+    /// message gets through, `None` when it is dropped or deferred:
+    ///
+    /// - a dead node drops it (it never acks; the master retries, then
+    ///   gives up);
+    /// - a paused control plane re-queues `deferred()` for the resume
+    ///   instant (the event is only built in that case);
+    /// - a stale incarnation drops it *without* an ack: it was addressed
+    ///   to a pre-crash boot of this slave, and registration purges it
+    ///   from the master's outbox (its pending timeouts settle as stale);
+    /// - a stale epoch drops it *without* an ack: it comes from a master
+    ///   incarnation that no longer exists, and the live master never
+    ///   re-sends it (failover cleared its outbox).
+    ///
+    /// `inc` is `None` for liveness replies, which are deliberately not
+    /// incarnation-fenced: one in flight across a crash reaches a freshly
+    /// restarted slave with no references, where both verdicts are no-ops.
+    fn accept_delivery(
+        &mut self,
+        n: u32,
+        epoch: Epoch,
+        inc: Option<Incarnation>,
+        deferred: impl FnOnce() -> Event,
+    ) -> Option<Vec<SlaveAction>> {
+        let idx = n as usize;
+        if !self.cols.alive.get(idx) {
+            return None;
         }
-        false
+        if let Some(until) = self.cols.paused(idx) {
+            self.engine.schedule_at(until, deferred());
+            return None;
+        }
+        if inc.is_some_and(|inc| !self.slaves[idx].observe_incarnation(inc)) {
+            return None;
+        }
+        let now = self.engine.now();
+        self.slaves[idx].observe_epoch(now, epoch, &mut self.mems[idx])
     }
 
     fn on_deliver_migrates(
@@ -1919,49 +1971,22 @@ impl World {
         inc: Incarnation,
         cmds: Vec<MigrateCommand>,
     ) {
-        if !self.cols.alive.get(n as usize) {
-            return; // dead node never acks; the master retries, then gives up
-        }
-        if self.defer_if_paused(n, Event::DeliverMigrates(n, seq, epoch, inc, cmds.clone())) {
-            return;
-        }
-        // Stale-incarnation commands are dropped *without* an ack, like
-        // stale epochs below: they were addressed to a pre-crash boot of
-        // this slave, and registration purges them from the master's
-        // outbox (their pending timeouts settle as stale).
-        if !self.slaves[n as usize].observe_incarnation(inc) {
-            return;
-        }
-        let now = self.engine.now();
-        // Stale-epoch commands are dropped *without* an ack: they come from
-        // a master incarnation that no longer exists, and the live master
-        // never re-sends them (failover cleared its outbox).
-        let Some(mut actions) =
-            self.slaves[n as usize].observe_epoch(now, epoch, &mut self.mems[n as usize])
-        else {
+        let deferred = || Event::DeliverMigrates(n, seq, epoch, inc, cmds.clone());
+        let Some(mut actions) = self.accept_delivery(n, epoch, Some(inc), deferred) else {
             return;
         };
+        let now = self.engine.now();
         actions.extend(self.slaves[n as usize].enqueue(now, cmds, &mut self.mems[n as usize]));
         self.process_slave_actions(n, actions);
         self.slave_ack(n, seq);
     }
 
     fn on_deliver_evict(&mut self, n: u32, seq: SeqNo, epoch: Epoch, inc: Incarnation, job: JobId) {
-        if !self.cols.alive.get(n as usize) {
-            return;
-        }
-        if self.defer_if_paused(n, Event::DeliverEvict(n, seq, epoch, inc, job)) {
-            return;
-        }
-        if !self.slaves[n as usize].observe_incarnation(inc) {
-            return;
-        }
-        let now = self.engine.now();
-        let Some(mut actions) =
-            self.slaves[n as usize].observe_epoch(now, epoch, &mut self.mems[n as usize])
-        else {
+        let deferred = || Event::DeliverEvict(n, seq, epoch, inc, job);
+        let Some(mut actions) = self.accept_delivery(n, epoch, Some(inc), deferred) else {
             return;
         };
+        let now = self.engine.now();
         actions.extend(self.slaves[n as usize].on_evict_job(now, job, &mut self.mems[n as usize]));
         self.process_slave_actions(n, actions);
         self.slave_ack(n, seq);
@@ -1972,42 +1997,18 @@ impl World {
     /// channel. The alive list doubles as a lease renewal.
     fn on_liveness_query(&mut self, n: u32, jobs: Vec<JobId>) {
         let (alive, dead): (Vec<JobId>, Vec<JobId>) =
-            jobs.into_iter().partition(|j| self.live_jobs.contains(j));
+            jobs.into_iter().partition(|&j| self.job_live(j));
         let epoch = self.master.epoch();
-        let rpc = self.net.rpc_latency();
-        let copies = self.rpc.deliveries(
-            &mut self.rpc_rng,
-            RpcPeer::Master,
-            RpcPeer::Slave(NodeId(n)),
-        );
-        for extra in copies {
-            self.engine.schedule_in(
-                rpc + extra,
-                Event::LivenessReply(n, epoch, dead.clone(), alive.clone()),
-            );
-        }
+        let reply = Event::LivenessReply(n, epoch, dead, alive);
+        self.rpc_send(RpcPeer::Master, RpcPeer::Slave(NodeId(n)), reply);
     }
 
-    // Liveness replies are deliberately not incarnation-fenced: one that
-    // was in flight across a crash arrives at a freshly restarted slave
-    // with no references, where both the dead and alive verdicts are
-    // no-ops. Fencing them would only cost an extra stamp on the wire.
     fn on_liveness_reply(&mut self, n: u32, epoch: Epoch, dead: Vec<JobId>, alive: Vec<JobId>) {
-        if !self.cols.alive.get(n as usize) {
-            return;
-        }
-        if self.defer_if_paused(
-            n,
-            Event::LivenessReply(n, epoch, dead.clone(), alive.clone()),
-        ) {
-            return;
-        }
-        let now = self.engine.now();
-        let Some(mut actions) =
-            self.slaves[n as usize].observe_epoch(now, epoch, &mut self.mems[n as usize])
-        else {
+        let deferred = || Event::LivenessReply(n, epoch, dead.clone(), alive.clone());
+        let Some(mut actions) = self.accept_delivery(n, epoch, None, deferred) else {
             return;
         };
+        let now = self.engine.now();
         actions.extend(self.slaves[n as usize].on_liveness_result(
             now,
             dead,
@@ -2024,7 +2025,8 @@ impl World {
         if gen != self.cols.lease_gen[n as usize] || !self.cols.alive.get(n as usize) {
             return;
         }
-        if self.defer_if_paused(n, Event::LeaseCheck(n, gen)) {
+        if let Some(until) = self.cols.paused(n as usize) {
+            self.engine.schedule_at(until, Event::LeaseCheck(n, gen));
             return;
         }
         let now = self.engine.now();
@@ -2069,30 +2071,19 @@ impl World {
             let (alive, dead): (Vec<JobId>, Vec<JobId>) = self.slaves[n as usize]
                 .interested_jobs()
                 .into_iter()
-                .partition(|j| self.live_jobs.contains(j));
+                .partition(|&j| self.job_live(j));
             if dead.is_empty() {
                 continue;
             }
-            let rpc = self.net.rpc_latency();
-            let copies = self.rpc.deliveries(
-                &mut self.rpc_rng,
-                RpcPeer::Master,
-                RpcPeer::Slave(NodeId(n)),
-            );
-            for extra in copies {
-                self.engine.schedule_in(
-                    rpc + extra,
-                    Event::LivenessReply(n, epoch, dead.clone(), alive.clone()),
-                );
-            }
+            let reply = Event::LivenessReply(n, epoch, dead, alive);
+            self.rpc_send(RpcPeer::Master, RpcPeer::Slave(NodeId(n)), reply);
         }
         // Keep sweeping while work may still create references, or any
         // alive slave still holds interest (a reply may have been lost).
         let interest =
             (0..self.cfg.nodes).any(|n| self.cols.alive.get(n) && self.slaves[n].has_interest());
         if self.work_remaining() || interest {
-            self.engine
-                .schedule_in(self.cfg.cleanup_sweep, Event::CleanupSweep);
+            self.engine.schedule_in(CLEANUP_SWEEP, Event::CleanupSweep);
         }
     }
 
@@ -2105,20 +2096,16 @@ impl World {
                 SlaveAction::StartRead { block, bytes } => {
                     // The slave emits MigrationStarted when it issues this.
                     let owner = DiskOwner::Migration { block };
-                    let req = self.submit_disk(n, IoKind::Migration, bytes, owner);
+                    let req = self.submit_io(Device::Disk, n, IoKind::Migration, bytes, owner);
                     self.migration_req.insert((n, block), req);
                 }
                 SlaveAction::CancelRead { block } => {
                     if let Some(req) = self.migration_req.remove(&(n, block)) {
-                        self.disk_owner[n as usize].remove(&req);
                         self.telemetry.emit(|| TelemetryEvent::MigrationCancelled {
                             node: n,
                             block: block.0,
                         });
-                        let now = self.engine.now();
-                        let done = self.disks[n as usize].cancel(now, req);
-                        self.process_disk(n, done);
-                        self.resched_disk(n);
+                        self.cancel_io(Device::Disk, n, req);
                     }
                 }
                 SlaveAction::QueryJobLiveness { jobs } => {
@@ -2126,16 +2113,8 @@ impl World {
                     // set is evaluated when the query *arrives* at the
                     // master). Not acked: the slave's cooldown re-issues
                     // lost queries on the next buffer-pressure check.
-                    let rpc = self.net.rpc_latency();
-                    let copies = self.rpc.deliveries(
-                        &mut self.rpc_rng,
-                        RpcPeer::Slave(NodeId(n)),
-                        RpcPeer::Master,
-                    );
-                    for extra in copies {
-                        self.engine
-                            .schedule_in(rpc + extra, Event::LivenessQuery(n, jobs.clone()));
-                    }
+                    let query = Event::LivenessQuery(n, jobs);
+                    self.rpc_send(RpcPeer::Slave(NodeId(n)), RpcPeer::Master, query);
                 }
             }
         }
@@ -2157,68 +2136,79 @@ impl World {
         id
     }
 
-    fn submit_disk(&mut self, n: u32, kind: IoKind, bytes: u64, owner: DiskOwner) -> RequestId {
+    /// Position of node `n`'s `device` in the device tables
+    /// (`devices`, `io_owner`, the `io_gen` column).
+    fn device_index(&self, device: Device, n: u32) -> usize {
+        device as usize * self.cfg.nodes + n as usize
+    }
+
+    fn submit_io(
+        &mut self,
+        device: Device,
+        n: u32,
+        kind: IoKind,
+        bytes: u64,
+        owner: DiskOwner,
+    ) -> RequestId {
         let now = self.engine.now();
         let id = self.alloc_req(n);
-        self.disk_owner[n as usize].insert(id, owner);
-        let done = self.disks[n as usize].submit(now, id, kind, bytes.max(1));
-        self.process_disk(n, done);
-        self.resched_disk(n);
+        let d = self.device_index(device, n);
+        self.io_owner[d].insert(id, owner);
+        let done = self.devices[d].submit(now, id, kind, bytes.max(1));
+        self.settle_io(device, n, done);
         id
     }
 
-    fn submit_ram(&mut self, n: u32, bytes: u64, owner: DiskOwner) -> RequestId {
+    /// Cancels request `req` on node `n`'s `device`. Its owner is dropped
+    /// first, so only other requests' completions are handed on.
+    fn cancel_io(&mut self, device: Device, n: u32, req: RequestId) {
         let now = self.engine.now();
-        let id = self.alloc_req(n);
-        self.ram_owner[n as usize].insert(id, owner);
-        let done = self.rams[n as usize].submit(now, id, IoKind::Read, bytes.max(1));
-        self.process_ram(n, done);
-        self.resched_ram(n);
-        id
+        let d = self.device_index(device, n);
+        self.io_owner[d].remove(&req);
+        let done = self.devices[d].cancel(now, req);
+        self.settle_io(device, n, done);
     }
 
-    fn resched_disk(&mut self, n: u32) {
-        self.cols.disk_gen[n as usize] += 1;
-        let gen = self.cols.disk_gen[n as usize];
-        if let Some(t) = self.disks[n as usize].next_event() {
-            self.engine.schedule_at(t, Event::DiskTimer(n, gen));
+    /// Hands a device's completions to their owners, then re-arms its
+    /// timer.
+    fn settle_io(&mut self, device: Device, n: u32, done: Vec<Completion>) {
+        self.complete_io(device, n, done);
+        self.resched_io(device, n);
+    }
+
+    fn resched_io(&mut self, device: Device, n: u32) {
+        let d = self.device_index(device, n);
+        self.cols.io_gen[d] += 1;
+        let gen = self.cols.io_gen[d];
+        if let Some(t) = self.devices[d].next_event() {
+            self.engine.schedule_at(t, Event::IoTimer(device, n, gen));
         }
     }
 
-    fn resched_ram(&mut self, n: u32) {
-        self.cols.ram_gen[n as usize] += 1;
-        let gen = self.cols.ram_gen[n as usize];
-        if let Some(t) = self.rams[n as usize].next_event() {
-            self.engine.schedule_at(t, Event::RamTimer(n, gen));
+    fn on_io_timer(&mut self, device: Device, n: u32, gen: u64) {
+        let d = self.device_index(device, n);
+        if gen != self.cols.io_gen[d] {
+            return;
         }
+        let now = self.engine.now();
+        let done = self.devices[d].advance(now);
+        self.settle_io(device, n, done);
     }
 
-    fn resched_net(&mut self) {
+    fn cancel_net(&mut self, id: TransferId) {
+        self.net_owner.remove(&id);
+        let now = self.engine.now();
+        let done = self.net.cancel(now, id);
+        self.settle_net(done);
+    }
+
+    fn settle_net(&mut self, done: Vec<ignem_netsim::TransferDone>) {
+        self.complete_net(done);
         self.net_gen += 1;
         let gen = self.net_gen;
         if let Some(t) = self.net.next_event() {
             self.engine.schedule_at(t, Event::NetTimer(gen));
         }
-    }
-
-    fn on_disk_timer(&mut self, n: u32, gen: u64) {
-        if gen != self.cols.disk_gen[n as usize] {
-            return;
-        }
-        let now = self.engine.now();
-        let done = self.disks[n as usize].advance(now);
-        self.process_disk(n, done);
-        self.resched_disk(n);
-    }
-
-    fn on_ram_timer(&mut self, n: u32, gen: u64) {
-        if gen != self.cols.ram_gen[n as usize] {
-            return;
-        }
-        let now = self.engine.now();
-        let done = self.rams[n as usize].advance(now);
-        self.process_ram(n, done);
-        self.resched_ram(n);
     }
 
     fn on_net_timer(&mut self, gen: u64) {
@@ -2227,13 +2217,13 @@ impl World {
         }
         let now = self.engine.now();
         let done = self.net.advance(now);
-        self.process_net(done);
-        self.resched_net();
+        self.settle_net(done);
     }
 
-    fn process_disk(&mut self, n: u32, done: Vec<Completion>) {
+    fn complete_io(&mut self, device: Device, n: u32, done: Vec<Completion>) {
+        let d = self.device_index(device, n);
         for c in done {
-            let Some(owner) = self.disk_owner[n as usize].remove(&c.id) else {
+            let Some(owner) = self.io_owner[d].remove(&c.id) else {
                 continue; // cancelled
             };
             match owner {
@@ -2264,9 +2254,8 @@ impl World {
                     self.rerep_active = false;
                     if self.cols.alive.get(target as usize) {
                         let now = self.engine.now();
-                        let done = self.disks[target as usize].buffered_write(now, c.bytes);
-                        self.process_disk(target, done);
-                        self.resched_disk(target);
+                        let done = self.devices[target as usize].buffered_write(now, c.bytes);
+                        self.settle_io(Device::Disk, target, done);
                         // The target may have raced a concurrent failure or
                         // already hold the replica; skip, don't crash.
                         if self.namenode.add_replica(block, NodeId(target)).is_ok() {
@@ -2328,31 +2317,13 @@ impl World {
                     target: target.0,
                     bytes,
                 });
-            self.submit_disk(source.0, IoKind::Read, bytes, owner);
+            self.submit_io(Device::Disk, source.0, IoKind::Read, bytes, owner);
             return;
         }
         self.arm_rerep_retry();
     }
 
-    fn process_ram(&mut self, n: u32, done: Vec<Completion>) {
-        for c in done {
-            let Some(owner) = self.ram_owner[n as usize].remove(&c.id) else {
-                continue;
-            };
-            if let DiskOwner::MapRead {
-                task,
-                kind,
-                block,
-                serving,
-                started,
-            } = owner
-            {
-                self.finish_map_read(task, kind, block, serving, started, c.bytes);
-            }
-        }
-    }
-
-    fn process_net(&mut self, done: Vec<ignem_netsim::TransferDone>) {
+    fn complete_net(&mut self, done: Vec<ignem_netsim::TransferDone>) {
         for t in done {
             let Some(owner) = self.net_owner.remove(&t.id) else {
                 continue;
@@ -2374,8 +2345,7 @@ impl World {
                 NetOwner::Shuffle { task } => {
                     let rec = *self.tracker.task(task);
                     if let ignem_compute::tracker::TaskState::Assigned(_) = rec.state {
-                        // lint: allow(P02, reason = "specs are inserted at submission and live until the job finishes")
-                        let spec = &self.job_spec[&rec.job];
+                        let spec = self.spec(rec.job);
                         let share = spec.shuffle_bytes / spec.reducers.max(1) as u64;
                         self.schedule_reduce_compute(task, rec.job, share);
                     }
@@ -2452,8 +2422,7 @@ impl World {
                 }
             }
         }
-        // lint: allow(P02, reason = "specs are inserted at submission and live until the job finishes")
-        let rate = self.job_spec[&rec.job].map_cpu_rate;
+        let rate = self.spec(rec.job).map_cpu_rate;
         let secs = bytes as f64 / rate * self.jitter();
         self.engine.schedule_in(
             SimDuration::from_secs_f64(secs),
@@ -2503,9 +2472,8 @@ impl World {
                 assert!(percent > 0 && percent <= 100, "bad degrade percent");
                 if self.cols.alive.get(n) {
                     let factor = percent as f64 / 100.0;
-                    let done = self.disks[n].set_speed_factor(now, factor);
-                    self.process_disk(node.0, done);
-                    self.resched_disk(node.0);
+                    let done = self.devices[n].set_speed_factor(now, factor);
+                    self.settle_io(Device::Disk, node.0, done);
                     self.engine
                         .schedule_in(duration, Event::DiskRestore(node.0));
                 }
@@ -2566,9 +2534,8 @@ impl World {
             desc: format!("node{n} disk restored to nominal speed"),
         });
         let now = self.engine.now();
-        let done = self.disks[n as usize].set_speed_factor(now, 1.0);
-        self.process_disk(n, done);
-        self.resched_disk(n);
+        let done = self.devices[n as usize].set_speed_factor(now, 1.0);
+        self.settle_io(Device::Disk, n, done);
     }
 
     fn on_node_resume(&mut self, n: u32) {
@@ -2607,9 +2574,8 @@ impl World {
         // it. A reboot also clears any lingering disk-speed degradation
         // (a later DiskRestore for a healed degrade is idempotent).
         self.rpc.heal(self.faults.len() + idx);
-        let done = self.disks[idx].set_speed_factor(now, 1.0);
-        self.process_disk(n, done);
-        self.resched_disk(n);
+        let done = self.devices[idx].set_speed_factor(now, 1.0);
+        self.settle_io(Device::Disk, n, done);
         let incarnation = self.slaves[idx].restart();
         self.telemetry.emit(|| TelemetryEvent::NodeRestarted {
             node: n,
@@ -2634,16 +2600,8 @@ impl World {
     /// at the master, so duplicates from generous retries are harmless.
     fn send_register(&mut self, n: u32, attempt: u32) {
         let incarnation = self.slaves[n as usize].incarnation();
-        let rpc = self.net.rpc_latency();
-        let copies = self.rpc.deliveries(
-            &mut self.rpc_rng,
-            RpcPeer::Slave(NodeId(n)),
-            RpcPeer::Master,
-        );
-        for extra in copies {
-            self.engine
-                .schedule_in(rpc + extra, Event::DeliverRegister(n, incarnation));
-        }
+        let register = Event::DeliverRegister(n, incarnation);
+        self.rpc_send(RpcPeer::Slave(NodeId(n)), RpcPeer::Master, register);
         // The master's ack-retry schedule doubles as the registration
         // backoff. No attempt cap: an unregistered node is useless, so the
         // slave keeps announcing itself (at the capped interval) until the
@@ -2710,17 +2668,16 @@ impl World {
             return;
         }
         let now = self.engine.now();
-        // job_to_plan iterates in job-id order: re-ignition visits jobs,
-        // and therefore draws randomness, in one order on every run.
+        // `jobs` iterates in job-id order: re-ignition visits jobs, and
+        // therefore draws randomness, in one order on every run.
         let jobs: Vec<JobId> = self
-            .job_to_plan
+            .jobs
             .iter()
-            .filter(|&(j, _)| self.live_jobs.contains(&j) && self.job_migrated.contains(&j))
+            .filter(|(_, r)| r.live && r.migrated)
             .map(|(j, _)| j)
             .collect();
         for job in jobs {
-            // lint: allow(P02, reason = "specs are inserted at submission and live until the job finishes")
-            let spec = self.job_spec[&job].clone();
+            let spec = self.spec(job);
             let (Some(mode), JobInput::DfsFiles(files)) = (spec.submit.migrate, &spec.input) else {
                 continue;
             };
@@ -2866,21 +2823,17 @@ impl World {
         // owner maps iterate in `(node, request id)` order, so two
         // identical runs cancel and re-issue in one order.
         let mut reissue: Vec<(TaskId, Option<BlockId>, u64)> = Vec::new();
-        let disk_keys: Vec<(u32, RequestId)> = self
-            .disk_owner
+        let disk_keys: Vec<(u32, RequestId)> = self.io_owner[..self.cfg.nodes]
             .iter()
             .enumerate()
             .flat_map(|(dn, owners)| owners.keys().map(move |req| (dn as u32, req)))
             .collect();
-        for key in disk_keys {
-            let owner = self.disk_owner[key.0 as usize][&key.1];
+        for (dn, req) in disk_keys {
+            let owner = self.io_owner[dn as usize][&req];
             if let DiskOwner::Rereplicate { block, target } = owner {
                 // A re-replication touched by the failure restarts later.
-                if key.0 == node.0 || target == node.0 {
-                    self.disk_owner[key.0 as usize].remove(&key.1);
-                    let done = self.disks[key.0 as usize].cancel(now, key.1);
-                    self.process_disk(key.0, done);
-                    self.resched_disk(key.0);
+                if dn == node.0 || target == node.0 {
+                    self.cancel_io(Device::Disk, dn, req);
                     self.rerep_active = false;
                     self.rerep_queue.push(block);
                 }
@@ -2894,12 +2847,9 @@ impl World {
             } = owner
             {
                 let dead_reader = requeued.contains(&task);
-                let dead_server = serving == node.0 || key.0 == node.0;
+                let dead_server = serving == node.0 || dn == node.0;
                 if dead_reader || dead_server {
-                    self.disk_owner[key.0 as usize].remove(&key.1);
-                    let done = self.disks[key.0 as usize].cancel(now, key.1);
-                    self.process_disk(key.0, done);
-                    self.resched_disk(key.0);
+                    self.cancel_io(Device::Disk, dn, req);
                     if !dead_reader {
                         let rec = *self.tracker.task(task);
                         if let TaskKind::Map { bytes, .. } = rec.kind {
@@ -2909,16 +2859,14 @@ impl World {
                 }
             }
         }
-        let ram_keys: Vec<RequestId> = self.ram_owner[n].keys().collect();
+        let ram = self.device_index(Device::Ram, node.0);
+        let ram_keys: Vec<RequestId> = self.io_owner[ram].keys().collect();
         for req in ram_keys {
-            self.ram_owner[n].remove(&req);
-            let done = self.rams[n].cancel(now, req);
-            self.process_ram(node.0, done);
-            self.resched_ram(node.0);
+            self.cancel_io(Device::Ram, node.0, req);
         }
         let xfers: Vec<TransferId> = self.net_owner.keys().collect();
         for id in xfers {
-            // `process_net` inside this loop can complete and remove
+            // `complete_net` inside this loop can complete and remove
             // *other* snapshotted transfers, so a stale id is possible.
             let Some(&owner) = self.net_owner.get(&id) else {
                 continue;
@@ -2932,10 +2880,7 @@ impl World {
                 } => {
                     let dead_reader = requeued.contains(&task);
                     if dead_reader || serving == node.0 {
-                        self.net_owner.remove(&id);
-                        let done = self.net.cancel(now, id);
-                        self.process_net(done);
-                        self.resched_net();
+                        self.cancel_net(id);
                         if !dead_reader {
                             let rec = *self.tracker.task(task);
                             if let TaskKind::Map { bytes, .. } = rec.kind {
@@ -2946,10 +2891,7 @@ impl World {
                 }
                 NetOwner::Shuffle { task } => {
                     if requeued.contains(&task) {
-                        self.net_owner.remove(&id);
-                        let done = self.net.cancel(now, id);
-                        self.process_net(done);
-                        self.resched_net();
+                        self.cancel_net(id);
                     }
                 }
             }
@@ -2972,21 +2914,16 @@ impl World {
             return;
         }
         let now = self.engine.now();
-        // job_to_plan iterates in job-id order, so the kill sweep visits
-        // jobs in the same order on every run.
-        let jobs: Vec<JobId> = self
-            .job_to_plan
-            .iter()
-            .filter(|&(_, &(plan, _))| plan == p)
-            .map(|(j, _)| j)
-            .collect();
-        for job in jobs {
+        // `jobs` iterates in job-id order, so the kill sweep visits jobs
+        // in the same order on every run.
+        for (job, rec) in self.jobs.iter_mut() {
+            if rec.plan != p {
+                continue;
+            }
             self.tracker.kill_job(job);
-            self.live_jobs.remove(&job);
-            if let Some(assigns) = self.hyp_assign.remove(&job) {
-                for (n, bytes) in assigns {
-                    self.hypothetical[n as usize].add(now, -(bytes as f64));
-                }
+            rec.live = false;
+            for (n, bytes) in std::mem::take(&mut rec.hyp) {
+                self.hypothetical[n as usize].add(now, -(bytes as f64));
             }
             // Note: deliberately NO evict to Ignem — the paper's dead-job
             // cleanup (threshold + liveness query) must reclaim the refs.

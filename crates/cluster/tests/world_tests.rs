@@ -431,3 +431,81 @@ fn read_caching_serves_repeats_only() {
     let (_, inf, inr) = run_rereads(&plain, FsMode::Ignem, 4, GB);
     assert!(inf < pf * 0.8 && inr < pr * 0.8, "{inf:.2}/{inr:.2}");
 }
+
+#[test]
+fn killed_plan_keeps_draining_tasks_through_a_crash() {
+    // Kill a plan while its maps are running, then crash a node while a
+    // second job still runs. The killed job's running tasks keep reading
+    // its spec until they drain; recovery re-ignites only the live job.
+    use ignem_simcore::telemetry::{Event, FlightRecorder};
+    let files_v = files_of(512 * MB, 2, "/victim");
+    let files_f = files_of(4 * GB, 4, "/follower");
+    let mut all = files_v.clone();
+    all.extend(files_f.clone());
+    let mut victim = job(&files_v, true);
+    victim.map_cpu_rate = 20e6; // slow maps: still running at the kill
+    let mut follower = job(&files_f, true);
+    follower.map_cpu_rate = 5e6; // still running when the node restarts
+    let plan = vec![
+        PlannedJob::single("victim", SimDuration::from_secs(1), victim),
+        PlannedJob::single("follower", SimDuration::from_secs(2), follower),
+    ];
+    let faults = vec![
+        (SimTime::from_secs(9), Fault::KillPlan(0)),
+        (
+            SimTime::from_secs(12),
+            Fault::NodeCrash(NodeId(3), SimDuration::from_secs(4)),
+        ),
+    ];
+    let recorder = FlightRecorder::new(1 << 20);
+    let m = World::new(ClusterConfig::default(), FsMode::Ignem, &all, plan, faults)
+        .with_telemetry(Box::new(recorder.clone()))
+        .run();
+    let events = recorder.events();
+    assert_eq!(recorder.dropped(), 0);
+    let victim_job = events
+        .iter()
+        .find_map(|e| match &e.event {
+            Event::JobSubmitted { job, plan: 0, .. } => Some(*job),
+            _ => None,
+        })
+        .expect("victim submitted");
+    let kill = events
+        .iter()
+        .position(|e| matches!(&e.event, Event::FaultInjected { desc } if desc == "KillPlan(0)"))
+        .expect("kill injected");
+    assert!(
+        events[..kill]
+            .iter()
+            .any(|e| matches!(e.event, Event::TaskStarted { job, .. } if job == victim_job)),
+        "no victim task started before the kill"
+    );
+    assert!(
+        events[kill..]
+            .iter()
+            .any(|e| matches!(e.event, Event::TaskFinished { job, .. } if job == victim_job)),
+        "no victim task drained after the kill"
+    );
+    // The run completes without the victim, and recovery re-ignited only
+    // the follower, although the victim had migrated too.
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.event, Event::MigrationAssigned { job, .. } if job == victim_job)),
+        "the victim never migrated"
+    );
+    assert_eq!(m.plans.len(), 1);
+    assert_eq!(m.plans[0].name, "follower");
+    assert_eq!(m.crashes, 1);
+    assert_eq!(m.reignited_jobs, 1);
+    assert_eq!(m.recovery, None);
+    // Nothing is left over: no reference, no migrated byte, no
+    // hypothetical byte.
+    assert_eq!(m.leaked_job_refs, 0);
+    assert_eq!(m.final_migrated_bytes, 0);
+    for series in &m.hypothetical_series {
+        if let Some(&(_, v)) = series.last() {
+            assert_eq!(v, 0.0, "hypothetical bytes left over");
+        }
+    }
+}

@@ -307,11 +307,6 @@ impl JobTracker {
         &self.pending_reduces
     }
 
-    /// Whether any work remains anywhere.
-    pub fn all_finished(&self) -> bool {
-        self.jobs.values().all(|j| j.is_finished())
-    }
-
     /// Assigns a pending task to `node`.
     ///
     /// # Panics

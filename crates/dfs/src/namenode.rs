@@ -30,7 +30,6 @@ pub struct FileMeta {
 #[derive(Debug, Clone)]
 struct BlockMeta {
     bytes: u64,
-    file: FileId,
     /// All replica holders, dead or alive (liveness filtered on query).
     replicas: Vec<NodeId>,
 }
@@ -191,7 +190,6 @@ impl NameNode {
                 bid,
                 BlockMeta {
                     bytes: size,
-                    file: id,
                     replicas,
                 },
             );
@@ -258,7 +256,7 @@ impl NameNode {
             .collect())
     }
 
-    /// A block's size and owning file.
+    /// A block's id and size.
     ///
     /// # Errors
     ///
@@ -270,18 +268,6 @@ impl NameNode {
                 id: block,
                 bytes: m.bytes,
             })
-            .ok_or(DfsError::BlockNotFound(block))
-    }
-
-    /// The file a block belongs to.
-    ///
-    /// # Errors
-    ///
-    /// [`DfsError::BlockNotFound`] if the block is unknown.
-    pub fn block_file(&self, block: BlockId) -> Result<FileId, DfsError> {
-        self.blocks
-            .get(&block)
-            .map(|m| m.file)
             .ok_or(DfsError::BlockNotFound(block))
     }
 

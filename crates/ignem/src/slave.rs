@@ -37,6 +37,10 @@ use ignem_storage::memstore::{MemStore, Residency};
 use crate::command::{EvictionMode, JobId, MigrateCommand};
 use crate::policy::{Policy, QueueKey};
 
+/// Minimum time between consecutive liveness queries, so a persistently
+/// blocked slave does not hammer the scheduler.
+const LIVENESS_COOLDOWN: SimDuration = SimDuration::from_secs(5);
+
 /// Configuration of a slave.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IgnemConfig {
@@ -46,9 +50,6 @@ pub struct IgnemConfig {
     /// Occupancy fraction of `buffer_capacity` at which a blocked slave
     /// queries the scheduler for dead jobs (§III-A4 cleanup).
     pub cleanup_threshold: f64,
-    /// Minimum time between consecutive liveness queries, so a persistently
-    /// blocked slave does not hammer the scheduler.
-    pub liveness_cooldown: SimDuration,
     /// Maximum concurrent migration reads per slave. The paper uses **1**
     /// ("each slave only migrates one block at a time") to avoid disk
     /// bandwidth degradation from concurrent reads; higher values exist for
@@ -76,7 +77,6 @@ impl Default for IgnemConfig {
         IgnemConfig {
             buffer_capacity: 16 << 30,
             cleanup_threshold: 0.8,
-            liveness_cooldown: SimDuration::from_secs(5),
             max_concurrent_migrations: 1,
             policy: Policy::SmallestJobFirst,
             lease: None,
@@ -214,7 +214,6 @@ pub struct IgnemSlave {
     /// [`IgnemConfig::lease`] is set; keys mirror `job_blocks`).
     lease_expiry: IdMap<JobId, SimTime>,
     arrivals: u64,
-    liveness_pending: bool,
     /// Bumped by every mutating entry point; paired with
     /// [`MemStore::version`], it lets a per-event validator skip slaves
     /// whose state provably did not change since the last audit.
@@ -251,7 +250,6 @@ impl IgnemSlave {
             incarnation: Incarnation::FIRST,
             lease_expiry: IdMap::new(),
             arrivals: 0,
-            liveness_pending: false,
             version: 0,
             last_liveness: None,
             stats: SlaveStats::default(),
@@ -731,7 +729,6 @@ impl IgnemSlave {
         self.queue.clear();
         self.job_blocks.clear();
         self.lease_expiry.clear();
-        self.liveness_pending = false;
         std::mem::take(&mut self.current)
             .into_keys()
             .map(|block| SlaveAction::CancelRead { block })
@@ -767,7 +764,6 @@ impl IgnemSlave {
         self.queue.clear();
         self.job_blocks.clear();
         self.lease_expiry.clear();
-        self.liveness_pending = false;
         std::mem::take(&mut self.current)
             .into_keys()
             .map(|block| SlaveAction::CancelRead { block })
@@ -787,7 +783,6 @@ impl IgnemSlave {
         mem: &mut MemStore<BlockId>,
     ) -> Vec<SlaveAction> {
         self.version += 1;
-        self.liveness_pending = false;
         for job in dead {
             self.release_job(now, job, mem);
         }
@@ -795,11 +790,6 @@ impl IgnemSlave {
             self.touch_lease(now, job);
         }
         self.try_start(now, mem)
-    }
-
-    /// Whether a liveness query is outstanding (no reply received yet).
-    pub fn liveness_query_outstanding(&self) -> bool {
-        self.liveness_pending
     }
 
     /// Verifies the slave's bookkeeping against the node's memory store.
@@ -1069,15 +1059,14 @@ impl IgnemSlave {
         }
         if blocked {
             let occupancy = mem.migrated_used() as f64 / self.config.buffer_capacity as f64;
-            // An outstanding query only suppresses re-querying within the
-            // cooldown window: under an unreliable channel the reply may
-            // be lost, and a permanently stuck `liveness_pending` would
-            // block cleanup (and therefore progress) forever.
+            // A query only suppresses re-querying within the cooldown
+            // window: under an unreliable channel the reply may be lost,
+            // and waiting for it would block cleanup (and therefore
+            // progress) forever.
             let cooled = self
                 .last_liveness
-                .is_none_or(|t| now >= t + self.config.liveness_cooldown);
+                .is_none_or(|t| now >= t + LIVENESS_COOLDOWN);
             if occupancy >= self.config.cleanup_threshold && cooled {
-                self.liveness_pending = true;
                 self.last_liveness = Some(now);
                 self.stats.liveness_queries += 1;
                 actions.push(SlaveAction::QueryJobLiveness {

@@ -1,4 +1,4 @@
-//! The discrete-event engine: a time-ordered event queue with cancellation.
+//! The discrete-event engine: a time-ordered event queue.
 //!
 //! [`Engine`] owns the simulation clock, the pending-event queue and the
 //! root RNG. Components schedule payloads of a user-chosen event type `E`;
@@ -49,52 +49,25 @@
 //! engine pops the identical future sequence. World snapshots capture
 //! the wheel cursors for free.
 //!
-//! ## Cancellation bookkeeping
+//! ## The payload arena
 //!
-//! Cancellation is lazy: the wheel entry stays where it is and is dropped
-//! when it surfaces. The bookkeeping lives in a generation-stamped slot
-//! slab rather than a set of cancelled sequence numbers: every scheduled
-//! event borrows a slot (its [`EventId`] packs slot index + generation)
-//! that parks the payload — wheel entries carry only the `(time, seq)`
-//! key and the slot index, so cascade copies stay small however large `E`
-//! is — and popping — fired or cancelled — returns the slot to a free
-//! list and bumps its generation. That makes every operation O(1)
-//! amortized, bounds the slab by the maximum number of *concurrently
-//! pending* events (it self-compacts via slot reuse), and makes
-//! cancelling an already-fired or never-scheduled id a structural no-op:
-//! its generation no longer matches. Live (`pending()`) and stored
-//! counts are tracked explicitly, so idle checks are O(1) and peeking is
-//! a pure read — unlike the old heap engine, `peek_time`/`peek` no
-//! longer compact cancelled prefixes as a side effect.
+//! Wheel entries carry only the `(time, seq)` key and the index of an
+//! arena slot that parks the payload, so cascade copies stay small
+//! however large `E` is. Popping takes the payload out of its slot and
+//! returns the index to a free list, so the arena is bounded by the peak
+//! number of *pending* events, not by the total ever scheduled.
+//!
+//! There is no cancellation. A component whose timer has been superseded
+//! lets the old event fire and ignores it: `World` stamps each timer
+//! payload with a generation counter and drops the event when the
+//! generation no longer matches.
 
 use std::collections::VecDeque;
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
-/// A handle to a scheduled event, usable for cancellation.
-///
-/// Packs the event's slab slot and the slot's generation at scheduling
-/// time; a stale handle (the event already fired or was cancelled) simply
-/// no longer matches and cancels nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn new(slot: u32, gen: u32) -> Self {
-        EventId((u64::from(gen) << 32) | u64::from(slot))
-    }
-
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// A wheel entry is the ordering key plus the slab slot holding the
+/// A wheel entry is the ordering key plus the arena slot holding the
 /// payload: a small fixed-size value, so cascades move ~24 bytes instead
 /// of the (potentially large) event payload itself.
 #[derive(Debug, Clone)]
@@ -102,17 +75,6 @@ struct Entry {
     at: SimTime,
     seq: u64,
     slot: u32,
-}
-
-/// One slab slot: which incarnation lives here, whether it has been
-/// cancelled while still in the wheel, and the parked payload (taken on
-/// fire, dropped eagerly on cancel).
-#[derive(Clone)]
-struct Slot<E> {
-    gen: u32,
-    pending: bool,
-    cancelled: bool,
-    payload: Option<E>,
 }
 
 /// Bits of the tick consumed per wheel level.
@@ -135,7 +97,8 @@ const LEVELS: usize = 11;
 /// - all level-`l` entries fire strictly before any level-`l+1` entry;
 /// - `ready` is sorted by `seq` (cascades sort the batch they promote;
 ///   later schedules at the floor append with strictly larger seqs);
-/// - `elapsed <= now` whenever the engine is quiescent.
+/// - `elapsed == now` whenever the engine is quiescent: only a promotion
+///   moves the floor, and the pop that follows moves the clock to it.
 #[derive(Clone)]
 struct Wheel {
     /// `LEVELS × LEVEL_SLOTS` slot vectors, row-major by level.
@@ -271,22 +234,20 @@ impl Wheel {
 /// allocation-free.
 ///
 /// When `E: Clone` the whole engine is `Clone`: the wheel (levels,
-/// occupancy bitmaps, floor cursor, ready queue), the slot slab (with
-/// generation stamps), the free list and the root RNG all copy
-/// structurally, so a clone pops the exact same future event sequence —
-/// including insertion-order tie-breaks — as the original. This is what
-/// makes world snapshots a memcpy-style fork rather than a replay.
+/// occupancy bitmaps, floor cursor, ready queue), the payload arena, the
+/// free list and the root RNG all copy structurally, so a clone pops the
+/// exact same future event sequence — including insertion-order
+/// tie-breaks — as the original. This is what makes world snapshots a
+/// memcpy-style fork rather than a replay.
 #[derive(Clone)]
 pub struct Engine<E> {
     now: SimTime,
     seq: u64,
     wheel: Wheel,
-    slots: Vec<Slot<E>>,
+    /// Payload arena indexed by [`Entry::slot`]; `None` marks a free slot.
+    payloads: Vec<Option<E>>,
+    /// Free arena slots, reused before the arena grows.
     free: Vec<u32>,
-    /// Entries still in the wheel, cancelled ones included.
-    stored: usize,
-    /// Live (uncancelled) entries in the wheel; `pending()` in O(1).
-    live: usize,
     rng: SimRng,
     processed: u64,
 }
@@ -295,7 +256,7 @@ impl<E> std::fmt::Debug for Engine<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("pending", &self.live)
+            .field("pending", &self.pending())
             .field("processed", &self.processed)
             .finish()
     }
@@ -308,10 +269,8 @@ impl<E> Engine<E> {
             now: SimTime::ZERO,
             seq: 0,
             wheel: Wheel::new(),
-            slots: Vec::new(),
+            payloads: Vec::new(),
             free: Vec::new(),
-            stored: 0,
-            live: 0,
             rng: SimRng::new(seed),
             processed: 0,
         }
@@ -327,17 +286,10 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Whether any live (uncancelled) events remain. O(1).
-    pub fn is_idle(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Number of live (uncancelled) events still queued. O(1): the count
-    /// is tracked explicitly, not derived from queue length, so it is
-    /// exact regardless of how many cancelled entries still sit in the
-    /// wheel awaiting lazy removal.
+    /// Number of events still queued. O(1): every occupied arena slot is
+    /// one pending event.
     pub fn pending(&self) -> usize {
-        self.live
+        self.payloads.len() - self.free.len()
     }
 
     /// The engine's root RNG.
@@ -345,48 +297,12 @@ impl<E> Engine<E> {
         &mut self.rng
     }
 
-    /// Parks `payload` in a slot for a new event, reusing freed slots.
-    fn alloc_slot(&mut self, payload: E) -> u32 {
-        match self.free.pop() {
-            Some(s) => {
-                let slot = &mut self.slots[s as usize];
-                slot.pending = true;
-                slot.cancelled = false;
-                slot.payload = Some(payload);
-                s
-            }
-            None => {
-                // lint: allow(P02, reason = "capacity guard: 2^32 pending events means a runaway schedule loop")
-                let s = u32::try_from(self.slots.len()).expect("more than u32::MAX pending events");
-                // lint: allow(Q01, reason = "slot slab reuses freed slots via the free list; growth tracks peak pending events")
-                self.slots.push(Slot {
-                    gen: 0,
-                    pending: true,
-                    cancelled: false,
-                    payload: Some(payload),
-                });
-                s
-            }
-        }
-    }
-
-    /// Retires a slot as its wheel entry surfaces: bump the generation (so
-    /// stale [`EventId`]s miss) and recycle the index.
-    fn free_slot(&mut self, s: u32) {
-        let slot = &mut self.slots[s as usize];
-        slot.gen = slot.gen.wrapping_add(1);
-        slot.pending = false;
-        slot.cancelled = false;
-        slot.payload = None;
-        self.free.push(s);
-    }
-
     /// Schedules `payload` at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         assert!(
             at >= self.now,
             "scheduling into the past: {at} < {}",
@@ -394,183 +310,74 @@ impl<E> Engine<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let s = self.alloc_slot(payload);
-        self.wheel.insert(Entry { at, seq, slot: s });
-        self.stored += 1;
-        self.live += 1;
-        EventId::new(s, self.slots[s as usize].gen)
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.payloads[slot as usize] = Some(payload);
+                slot
+            }
+            None => {
+                let len = self.payloads.len();
+                // lint: allow(P02, reason = "capacity guard: 2^32 pending events means a runaway schedule loop")
+                let slot = u32::try_from(len).expect("more than u32::MAX pending events");
+                // lint: allow(Q01, reason = "the arena reuses freed slots via the free list; growth tracks peak pending events")
+                self.payloads.push(Some(payload));
+                slot
+            }
+        };
+        self.wheel.insert(Entry { at, seq, slot });
     }
 
     /// Schedules `payload` after `delay`.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> EventId {
-        self.schedule_at(self.now + delay, payload)
+    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) {
+        self.schedule_at(self.now + delay, payload);
     }
 
     /// Schedules `payload` to fire immediately (at the current time, after
     /// any already-queued events for this instant).
-    pub fn schedule_now(&mut self, payload: E) -> EventId {
-        self.schedule_at(self.now, payload)
-    }
-
-    /// Cancels a scheduled event. Cancelling an already-fired,
-    /// already-cancelled or never-scheduled event is a true no-op: the
-    /// handle's generation no longer matches any pending slot, so nothing
-    /// is recorded and no state leaks.
-    pub fn cancel(&mut self, id: EventId) {
-        let s = id.slot() as usize;
-        match self.slots.get_mut(s) {
-            Some(slot) if slot.gen == id.gen() && slot.pending && !slot.cancelled => {
-                slot.cancelled = true;
-                // Drop the payload now rather than when the dead wheel
-                // entry eventually surfaces.
-                slot.payload = None;
-                self.live -= 1;
-            }
-            _ => {}
-        }
+    pub fn schedule_now(&mut self, payload: E) {
+        self.schedule_at(self.now, payload);
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     ///
-    /// Returns `None` when no (uncancelled) events remain.
+    /// Returns `None` when no events remain.
     pub fn pop(&mut self) -> Option<E> {
-        loop {
-            while let Some(entry) = self.wheel.ready.pop_front() {
-                self.stored -= 1;
-                if self.slots[entry.slot as usize].cancelled {
-                    self.free_slot(entry.slot);
-                    continue;
-                }
-                let payload = self.slots[entry.slot as usize]
-                    .payload
-                    .take()
-                    .expect("pending slot without payload");
-                self.free_slot(entry.slot);
-                debug_assert!(entry.at >= self.now, "time went backwards");
-                self.now = entry.at;
-                self.live -= 1;
-                self.processed += 1;
-                return Some(payload);
-            }
-            if self.stored == 0 {
-                // Re-anchor the floor at the clock so an engine that went
-                // idle mid-span files future schedules at full precision.
-                self.wheel.elapsed = self.now.as_micros();
-                return None;
-            }
-            let advanced = self.wheel.promote_earliest();
-            debug_assert!(advanced, "stored entries but no occupied slot");
+        if self.wheel.ready.is_empty() && !self.wheel.promote_earliest() {
+            return None;
         }
-    }
-
-    /// The `(time, seq, slot)` key of the next event `pop` would fire,
-    /// skipping cancelled entries, without mutating anything.
-    ///
-    /// Cancelled entries stay put (lazy removal happens in `pop`); the
-    /// scan walks the ready queue, then the earliest occupied slots in
-    /// level order — levels are strictly layered in time, and within a
-    /// level slot index order is time order, so the first slot containing
-    /// a live entry holds the minimum.
-    fn peek_key(&self) -> Option<(SimTime, u32)> {
-        for entry in &self.wheel.ready {
-            if !self.slots[entry.slot as usize].cancelled {
-                return Some((entry.at, entry.slot));
-            }
-        }
-        for level in 0..LEVELS {
-            let mut occ = self.wheel.occupied[level];
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                let mut best: Option<&Entry> = None;
-                for entry in &self.wheel.levels[level * LEVEL_SLOTS + slot] {
-                    if self.slots[entry.slot as usize].cancelled {
-                        continue;
-                    }
-                    if best
-                        .map(|b| (entry.at, entry.seq) < (b.at, b.seq))
-                        .unwrap_or(true)
-                    {
-                        best = Some(entry);
-                    }
-                }
-                if let Some(entry) = best {
-                    return Some((entry.at, entry.slot));
-                }
-            }
-        }
-        None
-    }
-
-    /// Peeks at the timestamp of the next event without firing it.
-    ///
-    /// A pure read: unlike the old heap engine, the peek does not compact
-    /// cancelled entries — those are removed lazily by [`Engine::pop`] —
-    /// and the live/pending accounting is maintained by explicit counters,
-    /// so nothing observable (or hidden) changes. The `&mut` receiver is
-    /// kept for API stability with existing call sites.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(at, _)| at)
+        let entry = self.wheel.ready.pop_front()?;
+        let payload = self.payloads[entry.slot as usize]
+            .take()
+            .expect("wheel entry without payload");
+        self.free.push(entry.slot);
+        debug_assert!(entry.at >= self.now, "time went backwards");
+        self.now = entry.at;
+        self.processed += 1;
+        Some(payload)
     }
 
     /// Peeks at the next event — timestamp and a borrow of its payload —
-    /// without firing it.
+    /// without firing it. A pure read: the step loop uses it to decide
+    /// whether the *next* event is a branch point (e.g. a fault injection)
+    /// worth snapshotting before.
     ///
-    /// Same contract as [`Engine::peek_time`]: a pure read. The driver
-    /// loop uses this to decide whether the *next* event is a branch
-    /// point (e.g. a fault injection) worth snapshotting before.
-    pub fn peek(&mut self) -> Option<(SimTime, &E)> {
-        let (at, slot) = self.peek_key()?;
-        let payload = self.slots[slot as usize]
-            .payload
-            .as_ref()
-            .expect("pending slot without payload");
-        Some((at, payload))
-    }
-
-    /// Runs the simulation to completion, dispatching each event to
-    /// `handler`. The handler may schedule further events.
-    ///
-    /// ```
-    /// use ignem_simcore::{event::Engine, time::SimDuration};
-    ///
-    /// let mut engine: Engine<u32> = Engine::new(0);
-    /// engine.schedule_in(SimDuration::from_secs(1), 3);
-    /// let mut total = 0;
-    /// engine.run(|eng, n| {
-    ///     total += n;
-    ///     if n > 1 {
-    ///         eng.schedule_in(SimDuration::from_secs(1), n - 1);
-    ///     }
-    /// });
-    /// assert_eq!(total, 3 + 2 + 1);
-    /// ```
-    pub fn run(&mut self, mut handler: impl FnMut(&mut Engine<E>, E)) {
-        while let Some(ev) = self.pop() {
-            handler(self, ev);
-        }
-    }
-
-    /// Runs until the clock would pass `deadline`; events at exactly
-    /// `deadline` are processed. Returns the number of events handled.
-    pub fn run_until(
-        &mut self,
-        deadline: SimTime,
-        mut handler: impl FnMut(&mut Engine<E>, E),
-    ) -> u64 {
-        let mut handled = 0;
-        while let Some(t) = self.peek_time() {
-            if t > deadline {
-                break;
+    /// Without a ready entry the minimum lies in the earliest occupied
+    /// slot: levels are strictly layered in time, and within a level slot
+    /// index order is time order (the argument `promote_earliest` uses).
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        let entry = match self.wheel.ready.front() {
+            Some(entry) => entry,
+            None => {
+                let (level, slot) = self.wheel.earliest_slot()?;
+                self.wheel.levels[level * LEVEL_SLOTS + slot]
+                    .iter()
+                    .min_by_key(|e| (e.at, e.seq))?
             }
-            let ev = self.pop().expect("peeked event vanished");
-            handler(self, ev);
-            handled += 1;
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        handled
+        };
+        let payload = self.payloads[entry.slot as usize]
+            .as_ref()
+            .expect("wheel entry without payload");
+        Some((entry.at, payload))
     }
 }
 
@@ -578,15 +385,18 @@ impl<E> Engine<E> {
 mod tests {
     use super::*;
 
+    /// Pops every remaining event in fire order.
+    fn drain<E>(e: &mut Engine<E>) -> Vec<E> {
+        std::iter::from_fn(|| e.pop()).collect()
+    }
+
     #[test]
     fn events_fire_in_time_order() {
         let mut e: Engine<u32> = Engine::new(0);
         e.schedule_at(SimTime::from_micros(30), 3);
         e.schedule_at(SimTime::from_micros(10), 1);
         e.schedule_at(SimTime::from_micros(20), 2);
-        let mut got = vec![];
-        e.run(|_, v| got.push(v));
-        assert_eq!(got, vec![1, 2, 3]);
+        assert_eq!(drain(&mut e), vec![1, 2, 3]);
     }
 
     #[test]
@@ -596,9 +406,7 @@ mod tests {
         for i in 0..10 {
             e.schedule_at(t, i);
         }
-        let mut got = vec![];
-        e.run(|_, v| got.push(v));
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
+        assert_eq!(drain(&mut e), (0..10).collect::<Vec<_>>());
     }
 
     /// Ties must survive a cascade: events scheduled at the same distant
@@ -615,9 +423,7 @@ mod tests {
         e.schedule_at(far, 1);
         e.schedule_at(SimTime::from_micros(999_999), 99);
         e.schedule_at(far, 2);
-        let mut got = vec![];
-        e.run(|_, v| got.push(v));
-        assert_eq!(got, vec![99, 100, 0, 1, 2]);
+        assert_eq!(drain(&mut e), vec![99, 100, 0, 1, 2]);
     }
 
     /// Long-horizon schedules exercise every wheel level; order must hold
@@ -631,80 +437,25 @@ mod tests {
         for &t in ticks.iter().rev() {
             e.schedule_at(SimTime::from_micros(t), t);
         }
-        let mut got = vec![];
-        e.run(|_, v| got.push(v));
         ticks.sort_unstable();
-        assert_eq!(got, ticks);
+        assert_eq!(drain(&mut e), ticks);
     }
 
+    /// The arena must stay bounded by peak concurrency, not total events:
+    /// popped slots are reused through the free list.
     #[test]
-    fn cancellation_suppresses_events() {
-        let mut e: Engine<u32> = Engine::new(0);
-        let a = e.schedule_at(SimTime::from_micros(1), 1);
-        e.schedule_at(SimTime::from_micros(2), 2);
-        e.cancel(a);
-        let mut got = vec![];
-        e.run(|_, v| got.push(v));
-        assert_eq!(got, vec![2]);
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut e: Engine<u32> = Engine::new(0);
-        let a = e.schedule_at(SimTime::from_micros(1), 1);
-        assert_eq!(e.pop(), Some(1));
-        e.cancel(a); // must not panic or corrupt
-        assert_eq!(e.pop(), None);
-    }
-
-    /// Regression: cancelling a fired (or repeatedly cancelling the same)
-    /// event used to park its seq in the cancelled set forever, skewing
-    /// `is_idle` and leaking memory. Now it is a structural no-op.
-    #[test]
-    fn cancel_after_fire_does_not_skew_idle_accounting() {
-        let mut e: Engine<u32> = Engine::new(0);
-        let a = e.schedule_at(SimTime::from_micros(1), 1);
-        assert_eq!(e.pop(), Some(1));
-        e.cancel(a);
-        assert!(e.is_idle(), "stale cancel must not count as pending work");
-        assert_eq!(e.stored - e.live, 0);
-
-        // Double-cancel of a live event counts once; firing clears it.
-        let b = e.schedule_at(SimTime::from_micros(2), 2);
-        e.cancel(b);
-        e.cancel(b);
-        assert_eq!(e.stored - e.live, 1);
-        assert!(e.is_idle());
-        assert_eq!(e.pop(), None);
-        assert_eq!(e.stored - e.live, 0);
-
-        // A stale handle whose slot was re-used must not cancel the new
-        // tenant: generations differ.
-        let c = e.schedule_at(SimTime::from_micros(3), 3);
-        assert_eq!(e.pop(), Some(3));
-        let d = e.schedule_at(SimTime::from_micros(4), 4); // reuses c's slot
-        e.cancel(c);
-        assert!(!e.is_idle(), "stale cancel must not kill the new event");
-        assert_eq!(e.pop(), Some(4));
-        let _ = d;
-    }
-
-    /// The slab must stay bounded by peak concurrency, not total events:
-    /// that is the self-compaction the lazy-cancellation rework promises.
-    #[test]
-    fn slot_slab_stays_bounded_under_churn() {
+    fn payload_arena_stays_bounded_under_churn() {
         let mut e: Engine<u64> = Engine::new(0);
+        e.schedule_at(SimTime::from_micros(1), 0);
         for i in 0..10_000u64 {
-            let id = e.schedule_at(SimTime::from_micros(i + 1), i);
-            if i % 2 == 0 {
-                e.cancel(id);
-            }
+            e.schedule_at(SimTime::from_micros(i + 2), i);
             e.pop();
         }
+        assert_eq!(e.pending(), 1);
         assert!(
-            e.slots.len() <= 4,
-            "slab grew to {} slots under serial churn",
-            e.slots.len()
+            e.payloads.len() <= 2,
+            "arena grew to {} slots under serial churn",
+            e.payloads.len()
         );
     }
 
@@ -717,102 +468,36 @@ mod tests {
     }
 
     #[test]
-    fn schedule_during_run_works() {
+    fn schedule_during_pop_loop_works() {
         let mut e: Engine<u32> = Engine::new(0);
         e.schedule_in(SimDuration::from_secs(1), 5);
         let mut count = 0;
-        e.run(|eng, n| {
+        while let Some(n) = e.pop() {
             count += 1;
             if n > 0 {
-                eng.schedule_in(SimDuration::from_secs(1), n - 1);
+                e.schedule_in(SimDuration::from_secs(1), n - 1);
             }
-        });
+        }
         assert_eq!(count, 6);
         assert_eq!(e.now().as_secs_f64(), 6.0);
     }
 
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut e: Engine<u32> = Engine::new(0);
-        e.schedule_at(SimTime::from_secs_f64(1.0), 1);
-        e.schedule_at(SimTime::from_secs_f64(5.0), 2);
-        let mut got = vec![];
-        let n = e.run_until(SimTime::from_secs_f64(2.0), |_, v| got.push(v));
-        assert_eq!(n, 1);
-        assert_eq!(got, vec![1]);
-        assert_eq!(e.now(), SimTime::from_secs_f64(2.0));
-        // Remaining event still fires later.
-        e.run(|_, v| got.push(v));
-        assert_eq!(got, vec![1, 2]);
-    }
-
-    /// Scheduling after `run_until` advanced the clock past the wheel
-    /// floor must file correctly relative to the stale floor.
-    #[test]
-    fn schedule_after_run_until_keeps_order() {
-        let mut e: Engine<u32> = Engine::new(0);
-        e.schedule_at(SimTime::from_micros(10_000_000), 3);
-        e.run_until(SimTime::from_micros(1_234_567), |_, _| {});
-        e.schedule_at(SimTime::from_micros(1_234_568), 1);
-        e.schedule_at(SimTime::from_micros(2_000_000), 2);
-        let mut got = vec![];
-        e.run(|_, v| got.push(v));
-        assert_eq!(got, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut e: Engine<u32> = Engine::new(0);
-        let a = e.schedule_at(SimTime::from_micros(1), 1);
-        e.schedule_at(SimTime::from_micros(2), 2);
-        e.cancel(a);
-        assert_eq!(e.peek_time(), Some(SimTime::from_micros(2)));
-    }
-
-    /// Peeking is now a pure read: cancelled entries stay in the wheel
-    /// until `pop` surfaces them, and the O(1) `pending()`/`is_idle`
-    /// counters are exact throughout — no hidden compaction required.
-    /// (The heap engine drained cancelled prefixes inside `peek_time`;
-    /// this pins the replacement contract.)
-    #[test]
-    fn peek_is_pure_and_pending_counters_are_exact() {
-        let mut e: Engine<u32> = Engine::new(0);
-        let a = e.schedule_at(SimTime::from_micros(1), 1);
-        let b = e.schedule_at(SimTime::from_micros(2), 2);
-        e.schedule_at(SimTime::from_micros(3), 3);
-        e.cancel(a);
-        e.cancel(b);
-        assert_eq!(e.stored, 3);
-        assert_eq!(e.pending(), 1);
-
-        assert_eq!(e.peek_time(), Some(SimTime::from_micros(3)));
-        // The peek changed nothing — the cancelled entries are still
-        // stored, the counters still exact, the clock untouched.
-        assert_eq!(e.stored, 3);
-        assert_eq!(e.pending(), 1);
-        assert_eq!(e.now(), SimTime::ZERO);
-        assert_eq!(e.processed(), 0);
-        assert!(!e.is_idle());
-        assert_eq!(e.pop(), Some(3));
-        assert_eq!(e.pop(), None);
-        assert_eq!(e.stored, 0);
-        assert_eq!(e.pending(), 0);
-    }
-
-    /// `peek` must return the payload of the event `pop` would fire next,
-    /// skipping cancelled entries exactly like `peek_time`.
+    /// `peek` must return the payload of the event `pop` would fire next
+    /// and change nothing observable.
     #[test]
     fn peek_returns_next_payload_without_firing() {
         let mut e: Engine<u32> = Engine::new(0);
-        let a = e.schedule_at(SimTime::from_micros(1), 1);
-        e.schedule_at(SimTime::from_micros(2), 2);
-        e.cancel(a);
-        assert_eq!(e.peek(), Some((SimTime::from_micros(2), &2)));
-        // Nothing observable changed: the clock holds and pop still fires.
+        e.schedule_at(SimTime::from_micros(2_000), 2);
+        e.schedule_at(SimTime::from_micros(1_000), 1);
+        assert_eq!(e.peek(), Some((SimTime::from_micros(1_000), &1)));
         assert_eq!(e.now(), SimTime::ZERO);
         assert_eq!(e.processed(), 0);
+        assert_eq!(e.pending(), 2);
+        assert_eq!(e.pop(), Some(1));
+        assert_eq!(e.peek(), Some((SimTime::from_micros(2_000), &2)));
         assert_eq!(e.pop(), Some(2));
         assert_eq!(e.peek(), None);
+        assert_eq!(e.pending(), 0);
     }
 
     /// A cloned engine must pop the exact same future sequence — times,
@@ -825,37 +510,26 @@ mod tests {
         for i in 0..8 {
             e.schedule_at(t, i); // all tied: insertion order must survive
         }
-        let c = e.schedule_at(SimTime::from_micros(9), 100);
+        e.schedule_at(SimTime::from_micros(9), 100);
         e.schedule_at(SimTime::from_micros(8), 99);
-        e.cancel(c);
         assert_eq!(e.pop(), Some(0));
 
         let mut fork = e.clone();
-        let drain = |eng: &mut Engine<u32>| {
+        let drain_timed = |eng: &mut Engine<u32>| {
             let mut got = vec![];
             while let Some(v) = eng.pop() {
                 got.push((eng.now(), v));
             }
             got
         };
-        let a = drain(&mut e);
-        let b = drain(&mut fork);
+        let a = drain_timed(&mut e);
+        let b = drain_timed(&mut fork);
         assert_eq!(a, b);
-        assert_eq!(a.last(), Some(&(SimTime::from_micros(8), 99)));
+        assert_eq!(a.last(), Some(&(SimTime::from_micros(9), 100)));
         // Post-fork schedules are independent.
         fork.schedule_at(SimTime::from_micros(20), 42);
         assert_eq!(fork.pop(), Some(42));
         assert_eq!(e.pop(), None);
-    }
-
-    #[test]
-    fn is_idle_accounts_for_cancellations() {
-        let mut e: Engine<u32> = Engine::new(0);
-        assert!(e.is_idle());
-        let a = e.schedule_at(SimTime::from_micros(1), 1);
-        assert!(!e.is_idle());
-        e.cancel(a);
-        assert!(e.is_idle());
     }
 
     #[test]
@@ -869,18 +543,17 @@ mod tests {
 
     /// Property test: the wheel against a reference model with the binary
     /// heap's ordering semantics — a sorted `(time, seq)` list. Random
-    /// interleavings of schedule / cancel / pop / peek / clone-restore
-    /// must produce the identical pop sequence, tie-breaks included, and
-    /// identical O(1) pending counts throughout.
+    /// interleavings of schedule / pop / peek / clone-restore must produce
+    /// the identical pop sequence, tie-breaks included, and identical O(1)
+    /// pending counts throughout.
     #[test]
     fn wheel_matches_reference_heap_model() {
         for seed in 0..32u64 {
             let mut rng = SimRng::new(0xF1EE_D00D ^ seed);
             let mut e: Engine<u64> = Engine::new(1);
-            // Model entry: (at, seq, payload, cancelled), sorted on demand.
-            type Model = Vec<(SimTime, u64, u64, bool)>;
+            // Model entry: (at, seq, payload), sorted on demand.
+            type Model = Vec<(SimTime, u64, u64)>;
             let mut model: Model = Vec::new();
-            let mut ids: Vec<(EventId, u64)> = Vec::new(); // (handle, seq)
             let mut next_seq = 0u64;
             let mut snapshot: Option<(Engine<u64>, Model)> = None;
 
@@ -888,7 +561,7 @@ mod tests {
                 match rng.index(100) {
                     // Schedule at a horizon spanning several wheel levels;
                     // small ranges force frequent exact-time ties.
-                    0..=49 => {
+                    0..=54 => {
                         let horizon = match rng.index(4) {
                             0 => 8,
                             1 => 1_000,
@@ -896,78 +569,50 @@ mod tests {
                             _ => 40_000_000_000,
                         };
                         let at = e.now() + SimDuration::from_micros(rng.index(horizon) as u64);
-                        let id = e.schedule_at(at, next_seq);
-                        model.push((at, next_seq, next_seq, false));
-                        ids.push((id, next_seq));
+                        e.schedule_at(at, next_seq);
+                        model.push((at, next_seq, next_seq));
                         next_seq += 1;
                     }
-                    50..=59 => {
-                        if !ids.is_empty() {
-                            let (id, seq) = ids[rng.index(ids.len())];
-                            e.cancel(id);
-                            if let Some(m) = model.iter_mut().find(|m| m.1 == seq) {
-                                m.3 = true;
-                            }
-                        }
-                    }
-                    60..=64 => {
+                    55..=59 => {
                         // Clone both sides; later restore swaps them in.
                         snapshot = Some((e.clone(), model.clone()));
                     }
-                    65..=67 => {
+                    60..=62 => {
                         if let Some((se, sm)) = snapshot.take() {
                             e = se;
                             model = sm;
-                            // Handles from the other timeline are stale;
-                            // dropping them only loses cancel coverage.
-                            ids.clear();
                         }
                     }
                     _ => {
-                        model.sort_by_key(|&(at, seq, _, _)| (at, seq));
-                        let expect = model.iter().position(|m| !m.3);
-                        let peeked = e.peek_time();
+                        model.sort_by_key(|&(at, seq, _)| (at, seq));
+                        let expect = model.first().copied();
                         assert_eq!(
-                            peeked,
-                            expect.map(|i| model[i].0),
+                            e.peek().map(|(at, &p)| (at, p)),
+                            expect.map(|(at, _, p)| (at, p)),
                             "peek mismatch at step {step} (seed {seed})"
                         );
                         let popped = e.pop();
                         match expect {
-                            Some(i) => {
-                                let (at, _, payload, _) = model[i];
+                            Some((at, _, payload)) => {
                                 assert_eq!(popped, Some(payload), "pop payload (seed {seed})");
                                 assert_eq!(e.now(), at, "pop clock (seed {seed})");
-                                model.drain(..=i);
+                                model.remove(0);
                             }
-                            None => {
-                                assert_eq!(popped, None, "pop on empty (seed {seed})");
-                                model.clear();
-                            }
+                            None => assert_eq!(popped, None, "pop on empty (seed {seed})"),
                         }
                     }
                 }
-                let live = model.iter().filter(|m| !m.3).count();
                 assert_eq!(
                     e.pending(),
-                    live,
+                    model.len(),
                     "pending count at step {step} (seed {seed})"
                 );
-                assert_eq!(e.is_idle(), live == 0);
             }
 
             // Drain: the full remaining sequence must match the model's.
-            model.sort_by_key(|&(at, seq, _, _)| (at, seq));
-            let expected: Vec<u64> = model
-                .iter()
-                .filter(|m| !m.3)
-                .map(|&(_, _, p, _)| p)
-                .collect();
-            let mut got = Vec::new();
-            while let Some(v) = e.pop() {
-                got.push(v);
-            }
-            assert_eq!(got, expected, "drain order (seed {seed})");
+            model.sort_by_key(|&(at, seq, _)| (at, seq));
+            let expected: Vec<u64> = model.iter().map(|&(_, _, p)| p).collect();
+            assert_eq!(drain(&mut e), expected, "drain order (seed {seed})");
         }
     }
 }

@@ -257,18 +257,6 @@ impl<K: DenseId, V> IdMap<K, V> {
         self.slots.iter_mut().filter_map(|s| s.as_mut())
     }
 
-    /// Returns the value at `key`, inserting `make()` first if the key is
-    /// vacant (the `entry(k).or_insert_with(..)` idiom).
-    pub fn entry_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
-        if !self.contains_key(&key) {
-            self.insert(key, make());
-        }
-        // lint: allow(P02, reason = "post-insert invariant: the key was inserted two lines up")
-        let p = self.pos(key).expect("just inserted");
-        // lint: allow(P02, reason = "post-insert invariant: the key was inserted three lines up")
-        self.slots[p].as_mut().expect("just inserted")
-    }
-
     /// Consumes the map, iterating values in ascending key order.
     pub fn into_values(self) -> impl Iterator<Item = V> {
         self.slots.into_iter().flatten()

@@ -6,7 +6,8 @@
 //! Ignem itself).
 //!
 //! * [`time`] — integer-microsecond [`time::SimTime`] / [`time::SimDuration`].
-//! * [`event`] — the [`event::Engine`]: time-ordered queue with cancellation.
+//! * [`event`] — the [`event::Engine`]: time-ordered event queue (a timing
+//!   wheel over a payload arena; no cancellation).
 //! * [`rng`] — version-stable seeded RNG ([`rng::SimRng`]).
 //! * [`dist`] — exponential / log-normal / Pareto samplers for workloads.
 //! * [`flow`] — fluid-flow processor-sharing resources with concurrency
@@ -58,7 +59,7 @@ pub mod units;
 /// Convenient glob-import of the most-used types.
 pub mod prelude {
     pub use crate::dist::{Constant, Distribution, Exponential, LogNormal, Pareto, Uniform};
-    pub use crate::event::{Engine, EventId};
+    pub use crate::event::Engine;
     pub use crate::flow::{FlowId, FlowResource};
     pub use crate::idmap::{DenseId, IdMap, IdSet};
     pub use crate::rng::SimRng;

@@ -161,14 +161,6 @@ impl MetricsReport {
             .unwrap_or(0)
     }
 
-    /// The whole-run histogram for one key, if any value was observed.
-    pub fn hist_total(&self, name: &str, tag: u64) -> Option<&Hist> {
-        self.hist_totals
-            .iter()
-            .find(|((n, t), _)| *n == name && *t == tag)
-            .map(|(_, h)| h)
-    }
-
     /// Renders the windows as CSV rows (all integer cells) under the
     /// header `window,start_us,kind,name,tag,field,value`.
     pub fn to_csv_rows(&self) -> Vec<Vec<String>> {

@@ -90,11 +90,6 @@ impl SimRng {
         }
     }
 
-    /// Next raw 32-bit output (upper half of the 64-bit stream).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.splitmix() >> 32) as u32
-    }
-
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         self.splitmix()

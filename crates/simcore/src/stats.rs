@@ -213,12 +213,6 @@ impl Samples {
         idx as f64 / self.values.len() as f64
     }
 
-    /// The sorted samples.
-    pub fn sorted_values(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.values
-    }
-
     /// CDF points `(value, cumulative fraction)` thinned to at most
     /// `max_points`, always including the extremes. Used for figure export.
     pub fn cdf_points(&mut self, max_points: usize) -> Vec<(f64, f64)> {
