@@ -367,17 +367,6 @@ impl ChaosReport {
         }
         Ok(())
     }
-
-    /// Invariant 6, panicking form (kept for existing tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a description of the first inconsistency.
-    pub fn assert_event_stream_consistent(&self) {
-        if let Err(e) = self.check_event_stream_consistent() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Draws a randomized fault plan from the full palette. Destructive faults

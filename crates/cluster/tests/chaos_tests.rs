@@ -258,7 +258,9 @@ fn chaos_event_stream_is_consistent() {
             report.events.windows(2).all(|w| w[0].seq < w[1].seq),
             "sequence numbers must strictly increase"
         );
-        report.assert_event_stream_consistent();
+        report
+            .check_event_stream_consistent()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 

@@ -208,23 +208,6 @@ impl NameNode {
         Ok(id)
     }
 
-    /// Deletes a file and all its blocks.
-    ///
-    /// # Errors
-    ///
-    /// [`DfsError::FileNotFound`] if the path does not exist.
-    pub fn delete_file(&mut self, path: &str) -> Result<(), DfsError> {
-        let id = self
-            .by_path
-            .remove(path)
-            .ok_or_else(|| DfsError::FileNotFound(path.to_string()))?;
-        let meta = self.files.remove(&id).expect("file table out of sync");
-        for b in meta.blocks {
-            self.blocks.remove(&b);
-        }
-        Ok(())
-    }
-
     /// Looks up file metadata by path.
     ///
     /// # Errors
@@ -367,11 +350,6 @@ impl NameNode {
             .collect()
     }
 
-    /// Total number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Total number of blocks.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
@@ -462,17 +440,6 @@ mod tests {
             nn.create_file("/f", MIB, &mut rng),
             Err(DfsError::NoAliveNodes)
         );
-    }
-
-    #[test]
-    fn delete_removes_blocks() {
-        let (mut nn, mut rng) = namenode(3);
-        nn.create_file("/f", 200 * MIB, &mut rng).unwrap();
-        assert_eq!(nn.block_count(), 4);
-        nn.delete_file("/f").unwrap();
-        assert_eq!(nn.block_count(), 0);
-        assert_eq!(nn.file_count(), 0);
-        assert!(nn.open("/f").is_err());
     }
 
     #[test]

@@ -258,7 +258,6 @@ fn x_series_flags_unwired_variants_everywhere() {
         &[
             (telemetry, "x_event_violate.rs"),
             ("crates/simcore/src/span.rs", "x_span_partial.rs"),
-            ("crates/cluster/src/explain.rs", "x_explain_partial.rs"),
             (world, "x_fault_violate.rs"),
             ("crates/cluster/src/chaos.rs", "x_chaos_partial.rs"),
         ],
@@ -271,7 +270,6 @@ fn x_series_flags_unwired_variants_everywhere() {
         got,
         vec![
             ("X01".into(), telemetry.into(), 6),
-            ("X02".into(), telemetry.into(), 6),
             ("X03".into(), telemetry.into(), 6),
             ("X04".into(), world.into(), 6),
             ("X04".into(), world.into(), 6),
@@ -286,7 +284,6 @@ fn x_series_fully_wired_fixture_is_clean() {
             &[
                 ("crates/simcore/src/telemetry.rs", "x_event_clean.rs"),
                 ("crates/simcore/src/span.rs", "x_span_partial.rs"),
-                ("crates/cluster/src/explain.rs", "x_explain_partial.rs"),
             ],
             &[("docs/TELEMETRY_SCHEMA.md", "| `covered` | x |\n")],
         ),
@@ -301,7 +298,6 @@ fn x01_allow_on_the_variant_line_suppresses() {
             &[
                 ("crates/simcore/src/telemetry.rs", "x_event_allow.rs"),
                 ("crates/simcore/src/span.rs", "x_span_partial.rs"),
-                ("crates/cluster/src/explain.rs", "x_explain_full.rs"),
             ],
             &[(
                 "docs/TELEMETRY_SCHEMA.md",

@@ -6,8 +6,7 @@
 //! that as a per-message decision process, driven by a seeded
 //! [`SimRng`](ignem_simcore::rng::SimRng) so every run is reproducible:
 //!
-//! * each message is **dropped** with a configurable probability (globally,
-//!   or overridden per directed edge);
+//! * each message is **dropped** with a configurable probability;
 //! * a delivered message is **duplicated** (delivered twice) with a
 //!   configurable probability — modelling sender retransmission races;
 //! * each delivered copy suffers an extra uniform **delay** on top of the
@@ -181,8 +180,6 @@ pub struct RpcStats {
 #[derive(Debug, Clone)]
 pub struct RpcChannel {
     config: RpcConfig,
-    /// Per-directed-edge drop probability overrides.
-    edge_drop: BTreeMap<(u32, u32), f64>,
     /// Active partitions: id → set of cut-off endpoints. A message is lost
     /// when exactly one of its endpoints is inside a partition set.
     partitions: BTreeMap<usize, BTreeSet<u32>>,
@@ -203,7 +200,6 @@ impl RpcChannel {
         config.validate();
         RpcChannel {
             config,
-            edge_drop: BTreeMap::new(),
             partitions: BTreeMap::new(),
             stats: RpcStats::default(),
             telemetry: Telemetry::default(),
@@ -233,20 +229,6 @@ impl RpcChannel {
     /// Traffic counters so far.
     pub fn stats(&self) -> RpcStats {
         self.stats
-    }
-
-    /// Overrides the drop probability for messages from `from` to `to`
-    /// (direction matters: a flaky downlink need not imply a flaky uplink).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1)`.
-    pub fn set_edge_drop(&mut self, from: RpcPeer, to: RpcPeer, p: f64) {
-        assert!(
-            p.is_finite() && (0.0..1.0).contains(&p),
-            "edge drop probability must be in [0, 1): {p}"
-        );
-        self.edge_drop.insert((from.encode(), to.encode()), p);
     }
 
     /// Starts a partition cutting `nodes` off from the rest of the control
@@ -305,11 +287,7 @@ impl RpcChannel {
             self.metrics.counter_add("rpc_cut", 0, 1);
             return Deliveries::default();
         }
-        let drop_p = self
-            .edge_drop
-            .get(&(from.encode(), to.encode()))
-            .copied()
-            .unwrap_or(self.config.drop_p);
+        let drop_p = self.config.drop_p;
         if drop_p <= 0.0 && self.config.dup_p <= 0.0 && self.config.jitter.is_zero() {
             self.stats.delivered += 1;
             return Deliveries::one(SimDuration::ZERO);
@@ -467,22 +445,6 @@ mod tests {
                 assert!(d <= jitter);
             }
         }
-    }
-
-    #[test]
-    fn per_edge_override_beats_global() {
-        let mut ch = RpcChannel::new(RpcConfig::default());
-        ch.set_edge_drop(RpcPeer::Master, n(1), 0.99);
-        let mut rng = SimRng::new(5);
-        let mut lost = 0;
-        for _ in 0..1_000 {
-            if ch.deliveries(&mut rng, RpcPeer::Master, n(1)).is_empty() {
-                lost += 1;
-            }
-            // The reverse edge keeps the (reliable) global default.
-            assert!(!ch.deliveries(&mut rng, n(1), RpcPeer::Master).is_empty());
-        }
-        assert!(lost > 950, "lost {lost}");
     }
 
     #[test]

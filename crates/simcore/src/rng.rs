@@ -94,14 +94,6 @@ impl SimRng {
     pub fn next_u64(&mut self) -> u64 {
         self.splitmix()
     }
-
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.splitmix().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -169,14 +161,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn fill_bytes_fills_odd_lengths() {
-        let mut r = SimRng::new(6);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

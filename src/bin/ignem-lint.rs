@@ -4,12 +4,12 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --bin ignem-lint [-- [JSON_PATH] [--json-out PATH]
-//!     [--sarif-out PATH] [--baseline PATH] [--changed] [--token-rules-only]]
+//! cargo run --bin ignem-lint [-- [--json-out PATH] [--sarif-out PATH]
+//!     [--baseline PATH] [--changed]]
 //! ```
 //!
-//! * A bare positional path (legacy form) or `--json-out` sets where the
-//!   JSON report is written; default `target/ignem-lint-report.json`.
+//! * `--json-out PATH` sets where the JSON report is written; default
+//!   `target/ignem-lint-report.json`.
 //! * `--sarif-out PATH` additionally writes a SARIF 2.1.0 report.
 //! * `--baseline PATH` compares findings against a committed baseline:
 //!   findings not in the baseline fail the build (regressions), and so do
@@ -17,8 +17,6 @@
 //! * `--changed` narrows *reporting* (and the exit code, when no baseline
 //!   is given) to files touched per `git diff --name-only HEAD`; analysis
 //!   still runs over the whole workspace so cross-crate passes stay sound.
-//! * `--token-rules-only` runs the PR-4 token rules without the parser
-//!   passes (fast mode; not used by CI).
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -30,7 +28,6 @@ struct Args {
     sarif_out: Option<PathBuf>,
     baseline: Option<PathBuf>,
     changed: bool,
-    token_rules_only: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -39,7 +36,6 @@ fn parse_args() -> Result<Args, String> {
         sarif_out: None,
         baseline: None,
         changed: false,
-        token_rules_only: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -54,10 +50,6 @@ fn parse_args() -> Result<Args, String> {
                 args.baseline = Some(it.next().ok_or("--baseline needs a path")?.into());
             }
             "--changed" => args.changed = true,
-            "--token-rules-only" => args.token_rules_only = true,
-            p if !p.starts_with('-') && args.json_out.is_none() => {
-                args.json_out = Some(p.into());
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -109,12 +101,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let full = if args.token_rules_only {
-        ignem_lint::run_lint(&root)
-    } else {
-        ignem_lint::run_analysis(&root)
-    };
-    let full = match full {
+    let full = match ignem_lint::run_analysis(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ignem-lint: scan failed: {e}");
