@@ -14,7 +14,14 @@ use crate::span::SpanForest;
 /// Renders a span forest (and optionally a metrics report) as a Chrome
 /// trace-event JSON string.
 pub fn export(forest: &SpanForest, metrics: Option<&MetricsReport>) -> String {
-    let mut events: Vec<String> = Vec::new();
+    // One buffer for the whole trace; events are separated by ",\n".
+    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    let mut push = |event: String| {
+        if !out.ends_with('[') {
+            out.push_str(",\n");
+        }
+        out.push_str(&event);
+    };
 
     // Process-name metadata so Perfetto labels tracks.
     let mut pids: Vec<i64> = forest.spans.iter().map(|s| s.node).collect();
@@ -28,7 +35,7 @@ pub fn export(forest: &SpanForest, metrics: Option<&MetricsReport>) -> String {
         } else {
             format!("node{node}")
         };
-        events.push(format!(
+        push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
              \"args\":{{\"name\":\"{name}\"}}}}"
         ));
@@ -38,7 +45,7 @@ pub fn export(forest: &SpanForest, metrics: Option<&MetricsReport>) -> String {
     for s in &forest.spans {
         let pid = s.node + 1;
         let parent = s.parent.map(|p| p.0 as i64).unwrap_or(-1);
-        events.push(format!(
+        push(format!(
             "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":0,\"ts\":{ts},\"dur\":{dur},\
              \"name\":\"{name}\",\"cat\":\"{cat}\",\
              \"args\":{{\"span\":{span},\"parent\":{parent},\"job\":{job},\"block\":{block}}}}}",
@@ -57,21 +64,19 @@ pub fn export(forest: &SpanForest, metrics: Option<&MetricsReport>) -> String {
         for w in &report.windows {
             let ts = w.start_us;
             for ((name, tag), v) in &w.counters {
-                events.push(counter_event(ts, name, *tag, *v as i64));
+                push(counter_event(ts, name, *tag, *v as i64));
             }
             for ((name, tag), v) in &w.gauges {
-                events.push(counter_event(ts, name, *tag, *v));
+                push(counter_event(ts, name, *tag, *v));
             }
             for ((name, tag), h) in &w.hists {
-                events.push(counter_event(ts, name, *tag, h.count as i64));
+                push(counter_event(ts, name, *tag, h.count as i64));
             }
         }
     }
 
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}\n",
-        events.join(",\n")
-    )
+    out.push_str("]}\n");
+    out
 }
 
 fn counter_event(ts: u64, name: &str, tag: u64, value: i64) -> String {
