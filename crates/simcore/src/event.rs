@@ -20,210 +20,60 @@
 //! assert_eq!(engine.now().as_secs_f64(), 1.0);
 //! ```
 //!
-//! ## The hierarchical timing wheel
+//! ## The queue
 //!
-//! The queue is a hierarchical timing wheel (a calendar queue), not a
-//! binary heap: 11 levels of 64 slots each, 6 bits of the microsecond
-//! tick per level, covering the whole `u64` tick space. An event at
-//! absolute tick `t` lives at the level of the most significant bit in
-//! which `t` differs from the wheel's floor `elapsed` (the granularity at
-//! which its deadline is still "far"), in the slot indexed by `t`'s 6-bit
-//! digit at that level. Scheduling is O(1): one XOR, one leading-zeros,
-//! one `Vec::push`. Popping promotes the earliest occupied slot — found
-//! by scanning 11 per-level occupancy bitmaps — jumps the floor straight
-//! to that slot's earliest tick (which is the global minimum, so one
-//! promotion always yields ready work), and *cascades*: entries due at
-//! the new floor become ready (sorted by insertion `seq`, so equal-time
-//! events still fire in FIFO order), the rest re-insert at a strictly
-//! lower level. Each entry cascades through at most `LEVELS` slots over
-//! its lifetime, so schedule/pop are O(1) amortized — the `O(log n)`
-//! heap sifts are gone, which is what lets a 12k-node world carry
-//! millions of pending timers without the queue dominating the run.
-//! Promotion recycles two scratch buffers (the swapped-out slot vector
-//! and the due batch), so the steady-state hot path allocates nothing.
-//!
-//! Determinism is unchanged from the heap engine: the pop order is
-//! *exactly* `(time, insertion seq)` — the wheel only ever reorders
-//! storage, never the fire sequence — and `Clone` copies the wheel
-//! (levels, bitmaps, floor, ready queue) structurally, so a cloned
-//! engine pops the identical future sequence. World snapshots capture
-//! the wheel cursors for free.
-//!
-//! ## The payload arena
-//!
-//! Wheel entries carry only the `(time, seq)` key and the index of an
-//! arena slot that parks the payload, so cascade copies stay small
-//! however large `E` is. Popping takes the payload out of its slot and
-//! returns the index to a free list, so the arena is bounded by the peak
-//! number of *pending* events, not by the total ever scheduled.
+//! The queue is a [`BinaryHeap`] whose entries carry their payload and
+//! are ordered by `(time, insertion seq)` alone. `seq` is unique, so the
+//! order is total: the pop sequence is exactly `(time, insertion seq)`,
+//! and equal-time events fire in the order they were scheduled. Schedule
+//! and pop cost `O(log n)` in the number of pending events, which peaks
+//! in the low hundreds on every workload the repository runs, the
+//! 12,288-node trace replay included (DESIGN.md §9). `Clone` copies the
+//! heap, so a cloned engine pops the identical future sequence.
 //!
 //! There is no cancellation. A component whose timer has been superseded
 //! lets the old event fire and ignores it: `World` stamps each timer
 //! payload with a generation counter and drops the event when the
 //! generation no longer matches.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
-/// A wheel entry is the ordering key plus the arena slot holding the
-/// payload: a small fixed-size value, so cascades move ~24 bytes instead
-/// of the (potentially large) event payload itself.
-#[derive(Debug, Clone)]
-struct Entry {
+/// A queued event: its `(at, seq)` key and the payload it fires.
+#[derive(Clone)]
+struct Entry<E> {
     at: SimTime,
     seq: u64,
-    slot: u32,
+    payload: E,
 }
 
-/// Bits of the tick consumed per wheel level.
-const LEVEL_BITS: u32 = 6;
-/// Slots per level (`2^LEVEL_BITS`).
-const LEVEL_SLOTS: usize = 1 << LEVEL_BITS;
-/// Levels needed to cover a full `u64` of microsecond ticks
-/// (`11 × 6 = 66 ≥ 64`).
-const LEVELS: usize = 11;
-
-/// The calendar-queue structure: per-level slot vectors, occupancy
-/// bitmaps, the wheel floor, and the ready queue of entries at the floor.
-///
-/// Invariants (between public engine operations):
-/// - every stored entry has `at > elapsed` (levels) or `at == elapsed`
-///   (ready queue);
-/// - all level-`l` entries share `elapsed`'s tick digits above level `l`,
-///   so within a level, slot index order is time order and every occupied
-///   slot index is strictly greater than `elapsed`'s digit at that level;
-/// - all level-`l` entries fire strictly before any level-`l+1` entry;
-/// - `ready` is sorted by `seq` (cascades sort the batch they promote;
-///   later schedules at the floor append with strictly larger seqs);
-/// - `elapsed == now` whenever the engine is quiescent: only a promotion
-///   moves the floor, and the pop that follows moves the clock to it.
-#[derive(Clone)]
-struct Wheel {
-    /// `LEVELS × LEVEL_SLOTS` slot vectors, row-major by level.
-    levels: Vec<Vec<Entry>>,
-    /// Per-level occupancy bitmap: bit `s` set ⇔ `levels[l*64+s]` nonempty.
-    occupied: [u64; LEVELS],
-    /// Entries at tick `elapsed`, in seq order; `pop` drains from the front.
-    ready: VecDeque<Entry>,
-    /// The wheel floor in ticks: every level entry is strictly later.
-    elapsed: u64,
-    /// Recycled cascade buffer: swapped with the promoted slot's vector so
-    /// steady-state promotion allocates nothing (a `mem::take` would throw
-    /// the slot's capacity away on every cascade).
-    cascade: Vec<Entry>,
-    /// Recycled batch buffer for the entries due at the new floor.
-    due: Vec<Entry>,
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
 }
 
-impl Wheel {
-    fn new() -> Self {
-        Wheel {
-            levels: vec![Vec::new(); LEVELS * LEVEL_SLOTS],
-            occupied: [0; LEVELS],
-            ready: VecDeque::new(),
-            elapsed: 0,
-            cascade: Vec::new(),
-            due: Vec::new(),
-        }
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
     }
+}
 
-    /// The level and slot index for an entry at tick `at`, relative to
-    /// the current floor. Caller guarantees `at > self.elapsed`.
-    fn level_slot(&self, at: u64) -> (usize, usize) {
-        let diff = at ^ self.elapsed;
-        debug_assert!(diff != 0, "floor ticks belong in the ready queue");
-        let msb = 63 - diff.leading_zeros();
-        let level = (msb / LEVEL_BITS) as usize;
-        let slot = ((at >> (LEVEL_BITS * level as u32)) & (LEVEL_SLOTS as u64 - 1)) as usize;
-        (level, slot)
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
+}
 
-    /// Files an entry: ready queue if it is due at the floor, otherwise
-    /// the level/slot its tick digits select.
-    fn insert(&mut self, entry: Entry) {
-        let at = entry.at.as_micros();
-        if at == self.elapsed {
-            // Fresh schedules carry a seq larger than everything already
-            // queued, so appending keeps `ready` seq-sorted; cascades only
-            // reach here via `promote_earliest`, which sorts its batch.
-            self.ready.push_back(entry);
-        } else {
-            let (level, slot) = self.level_slot(at);
-            self.levels[level * LEVEL_SLOTS + slot].push(entry);
-            self.occupied[level] |= 1 << slot;
-        }
-    }
-
-    /// The earliest occupied `(level, slot)`, if any level holds entries.
-    fn earliest_slot(&self) -> Option<(usize, usize)> {
-        self.occupied
-            .iter()
-            .position(|&occ| occ != 0)
-            .map(|level| (level, self.occupied[level].trailing_zeros() as usize))
-    }
-
-    /// Jumps the floor to the earliest stored tick and promotes every
-    /// entry due there into `ready` (seq-sorted); later entries from the
-    /// same slot re-file at a strictly lower level. Returns `false` when
-    /// every level is empty — otherwise `ready` is guaranteed nonempty,
-    /// so the caller never loops.
-    ///
-    /// Correctness of the timestamp jump: `earliest_slot` picks the
-    /// lowest occupied level (all lower levels empty) and its lowest
-    /// occupied slot, and slot order within a level is time order, so the
-    /// minimum tick in that slot is the global minimum. Jumping `elapsed`
-    /// to it only changes digits at or below the promoted level, which
-    /// preserves the digit-sharing invariant for every other stored
-    /// entry. Re-filed entries share the promoted slot's digit with the
-    /// new floor, so `level_slot` sends them strictly lower; each entry
-    /// still cascades at most `LEVELS` times over its lifetime.
-    fn promote_earliest(&mut self) -> bool {
-        let Some((level, slot)) = self.earliest_slot() else {
-            return false;
-        };
-        // Swap the slot's vector with the recycled cascade buffer instead
-        // of `mem::take`-ing it, so slot capacity survives the promotion.
-        let idx = level * LEVEL_SLOTS + slot;
-        // Sparse timers dominate: most promotions move a lone entry, which
-        // needs no min-scan, no partition and no sort.
-        if self.levels[idx].len() == 1 {
-            let entry = self.levels[idx].pop().expect("len checked above");
-            self.occupied[level] &= !(1 << slot);
-            debug_assert!(entry.at.as_micros() > self.elapsed);
-            self.elapsed = entry.at.as_micros();
-            debug_assert!(self.ready.is_empty(), "cascade only runs when drained");
-            self.ready.push_back(entry);
-            return true;
-        }
-        let mut batch = std::mem::take(&mut self.cascade);
-        std::mem::swap(&mut batch, &mut self.levels[idx]);
-        self.occupied[level] &= !(1 << slot);
-        let min_at = batch
-            .iter()
-            .map(|e| e.at.as_micros())
-            .min()
-            .expect("occupied bitmap pointed at an empty slot");
-        debug_assert!(min_at > self.elapsed, "slots always lie beyond the floor");
-        self.elapsed = min_at;
-        let mut due = std::mem::take(&mut self.due);
-        for entry in batch.drain(..) {
-            if entry.at.as_micros() == min_at {
-                due.push(entry);
-            } else {
-                self.insert(entry);
-            }
-        }
-        // Cascaded batches arrive in storage order; equal-time events must
-        // still fire in insertion order. Seqs are unique so an unstable
-        // (allocation-free) sort is exact.
-        due.sort_unstable_by_key(|e| e.seq);
-        debug_assert!(self.ready.is_empty(), "cascade only runs when drained");
-        self.ready.extend(due.drain(..));
-        self.cascade = batch;
-        self.due = due;
-        true
+impl<E> Ord for Entry<E> {
+    /// Reversed, so that the max-heap surfaces the earliest `(at, seq)`.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
     }
 }
 
@@ -233,21 +83,16 @@ impl Wheel {
 /// closed event vocabulary (an enum), keeping dispatch exhaustive and
 /// allocation-free.
 ///
-/// When `E: Clone` the whole engine is `Clone`: the wheel (levels,
-/// occupancy bitmaps, floor cursor, ready queue), the payload arena, the
-/// free list and the root RNG all copy structurally, so a clone pops the
-/// exact same future event sequence — including insertion-order
-/// tie-breaks — as the original. This is what makes world snapshots a
-/// memcpy-style fork rather than a replay.
+/// When `E: Clone` the whole engine is `Clone`: the heap and the root RNG
+/// copy structurally, so a clone pops the exact same future event
+/// sequence — including insertion-order tie-breaks — as the original.
+/// This is what makes world snapshots a memcpy-style fork rather than a
+/// replay.
 #[derive(Clone)]
 pub struct Engine<E> {
     now: SimTime,
     seq: u64,
-    wheel: Wheel,
-    /// Payload arena indexed by [`Entry::slot`]; `None` marks a free slot.
-    payloads: Vec<Option<E>>,
-    /// Free arena slots, reused before the arena grows.
-    free: Vec<u32>,
+    heap: BinaryHeap<Entry<E>>,
     rng: SimRng,
     processed: u64,
 }
@@ -268,9 +113,7 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
-            wheel: Wheel::new(),
-            payloads: Vec::new(),
-            free: Vec::new(),
+            heap: BinaryHeap::new(),
             rng: SimRng::new(seed),
             processed: 0,
         }
@@ -286,10 +129,9 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Number of events still queued. O(1): every occupied arena slot is
-    /// one pending event.
+    /// Number of events still queued.
     pub fn pending(&self) -> usize {
-        self.payloads.len() - self.free.len()
+        self.heap.len()
     }
 
     /// The engine's root RNG.
@@ -310,21 +152,7 @@ impl<E> Engine<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.payloads[slot as usize] = Some(payload);
-                slot
-            }
-            None => {
-                let len = self.payloads.len();
-                // lint: allow(P02, reason = "capacity guard: 2^32 pending events means a runaway schedule loop")
-                let slot = u32::try_from(len).expect("more than u32::MAX pending events");
-                // lint: allow(Q01, reason = "the arena reuses freed slots via the free list; growth tracks peak pending events")
-                self.payloads.push(Some(payload));
-                slot
-            }
-        };
-        self.wheel.insert(Entry { at, seq, slot });
+        self.heap.push(Entry { at, seq, payload });
     }
 
     /// Schedules `payload` after `delay`.
@@ -342,16 +170,9 @@ impl<E> Engine<E> {
     ///
     /// Returns `None` when no events remain.
     pub fn pop(&mut self) -> Option<E> {
-        if self.wheel.ready.is_empty() && !self.wheel.promote_earliest() {
-            return None;
-        }
-        let entry = self.wheel.ready.pop_front()?;
-        let payload = self.payloads[entry.slot as usize]
-            .take()
-            .expect("wheel entry without payload");
-        self.free.push(entry.slot);
-        debug_assert!(entry.at >= self.now, "time went backwards");
-        self.now = entry.at;
+        let Entry { at, payload, .. } = self.heap.pop()?;
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         self.processed += 1;
         Some(payload)
     }
@@ -360,24 +181,8 @@ impl<E> Engine<E> {
     /// without firing it. A pure read: the step loop uses it to decide
     /// whether the *next* event is a branch point (e.g. a fault injection)
     /// worth snapshotting before.
-    ///
-    /// Without a ready entry the minimum lies in the earliest occupied
-    /// slot: levels are strictly layered in time, and within a level slot
-    /// index order is time order (the argument `promote_earliest` uses).
     pub fn peek(&self) -> Option<(SimTime, &E)> {
-        let entry = match self.wheel.ready.front() {
-            Some(entry) => entry,
-            None => {
-                let (level, slot) = self.wheel.earliest_slot()?;
-                self.wheel.levels[level * LEVEL_SLOTS + slot]
-                    .iter()
-                    .min_by_key(|e| (e.at, e.seq))?
-            }
-        };
-        let payload = self.payloads[entry.slot as usize]
-            .as_ref()
-            .expect("wheel entry without payload");
-        Some((entry.at, payload))
+        self.heap.peek().map(|e| (e.at, &e.payload))
     }
 }
 
@@ -409,12 +214,11 @@ mod tests {
         assert_eq!(drain(&mut e), (0..10).collect::<Vec<_>>());
     }
 
-    /// Ties must survive a cascade: events scheduled at the same distant
-    /// tick start out in a coarse slot together with differently-timed
-    /// neighbours and are only separated (and seq-ordered) as the wheel
-    /// promotes them level by level.
+    /// Ties must survive interleaving: events scheduled at the same distant
+    /// tick, with differently-timed neighbours scheduled between them,
+    /// still fire in insertion order once their time comes.
     #[test]
-    fn ties_fire_in_insertion_order_across_cascades() {
+    fn ties_fire_in_insertion_order_when_interleaved() {
         let mut e: Engine<u32> = Engine::new(0);
         let far = SimTime::from_micros(1_000_003);
         // Interleave two tied groups plus scattered neighbours.
@@ -426,8 +230,8 @@ mod tests {
         assert_eq!(drain(&mut e), vec![99, 100, 0, 1, 2]);
     }
 
-    /// Long-horizon schedules exercise every wheel level; order must hold
-    /// across widely spread timestamps, including the top levels.
+    /// Order must hold across widely spread timestamps, from one tick to
+    /// half the `u64` tick space.
     #[test]
     fn long_horizon_events_fire_in_order() {
         let mut e: Engine<u64> = Engine::new(0);
@@ -439,24 +243,6 @@ mod tests {
         }
         ticks.sort_unstable();
         assert_eq!(drain(&mut e), ticks);
-    }
-
-    /// The arena must stay bounded by peak concurrency, not total events:
-    /// popped slots are reused through the free list.
-    #[test]
-    fn payload_arena_stays_bounded_under_churn() {
-        let mut e: Engine<u64> = Engine::new(0);
-        e.schedule_at(SimTime::from_micros(1), 0);
-        for i in 0..10_000u64 {
-            e.schedule_at(SimTime::from_micros(i + 2), i);
-            e.pop();
-        }
-        assert_eq!(e.pending(), 1);
-        assert!(
-            e.payloads.len() <= 2,
-            "arena grew to {} slots under serial churn",
-            e.payloads.len()
-        );
     }
 
     #[test]
@@ -541,13 +327,13 @@ mod tests {
         e.schedule_at(SimTime::from_secs(1), 2);
     }
 
-    /// Property test: the wheel against a reference model with the binary
-    /// heap's ordering semantics — a sorted `(time, seq)` list. Random
+    /// Property test: the engine against a reference model with the same
+    /// ordering semantics — a sorted `(time, seq)` list. Random
     /// interleavings of schedule / pop / peek / clone-restore must produce
-    /// the identical pop sequence, tie-breaks included, and identical O(1)
+    /// the identical pop sequence, tie-breaks included, and identical
     /// pending counts throughout.
     #[test]
-    fn wheel_matches_reference_heap_model() {
+    fn engine_matches_sorted_reference_model() {
         for seed in 0..32u64 {
             let mut rng = SimRng::new(0xF1EE_D00D ^ seed);
             let mut e: Engine<u64> = Engine::new(1);
@@ -559,8 +345,8 @@ mod tests {
 
             for step in 0..4_000 {
                 match rng.index(100) {
-                    // Schedule at a horizon spanning several wheel levels;
-                    // small ranges force frequent exact-time ties.
+                    // Schedule at horizons from 8 µs to ~11 h; small
+                    // ranges force frequent exact-time ties.
                     0..=54 => {
                         let horizon = match rng.index(4) {
                             0 => 8,
