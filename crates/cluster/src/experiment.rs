@@ -68,14 +68,9 @@ impl Comparison {
 }
 
 /// Converts a SWIM trace entry into a [`JobSpec`] over its dedicated input
-/// file. SWIM mappers "spend most of their time reading and perform very
-/// little computation" (§IV-C3), hence the high map CPU rate.
-pub fn swim_spec(idx: usize, job: &SwimJob, migrate: bool) -> JobSpec {
-    swim_spec_with(idx, job, migrate, EvictionMode::Explicit)
-}
-
-/// [`swim_spec`] with an explicit eviction mode (for the implicit-eviction
-/// ablation).
+/// file, with the given eviction mode (explicit, or implicit for the
+/// eviction ablation). SWIM mappers "spend most of their time reading and
+/// perform very little computation" (§IV-C3), hence the high map CPU rate.
 pub fn swim_spec_with(idx: usize, job: &SwimJob, migrate: bool, mode: EvictionMode) -> JobSpec {
     let mut spec = JobSpec::new(
         format!("swim-{idx}"),

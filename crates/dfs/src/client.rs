@@ -34,21 +34,6 @@ pub enum ReadSource {
     RemoteDisk(NodeId),
 }
 
-impl ReadSource {
-    /// Whether this source is served from memory.
-    pub fn is_memory(&self) -> bool {
-        matches!(self, ReadSource::LocalMemory | ReadSource::RemoteMemory(_))
-    }
-
-    /// Whether this source crosses the network.
-    pub fn is_remote(&self) -> bool {
-        matches!(
-            self,
-            ReadSource::RemoteMemory(_) | ReadSource::RemoteDisk(_)
-        )
-    }
-}
-
 /// Plans the read of `block` by a task running on `reader`.
 ///
 /// `in_memory(node, block)` reports whether the block is resident in memory
@@ -115,7 +100,6 @@ mod tests {
         let reader = NodeId(0);
         let src = plan_read(&nn, reader, b, |n, _| n == reader, &mut rng).unwrap();
         assert_eq!(src, ReadSource::LocalMemory);
-        assert!(src.is_memory() && !src.is_remote());
     }
 
     #[test]
@@ -127,7 +111,6 @@ mod tests {
         let reader = locs[1];
         let src = plan_read(&nn, reader, b, |n, _| n == holder, &mut rng).unwrap();
         assert_eq!(src, ReadSource::RemoteMemory(holder));
-        assert!(src.is_memory() && src.is_remote());
     }
 
     #[test]
@@ -136,7 +119,6 @@ mod tests {
         let reader = nn.locations(b).unwrap()[0];
         let src = plan_read(&nn, reader, b, |_, _| false, &mut rng).unwrap();
         assert_eq!(src, ReadSource::LocalDisk);
-        assert!(!src.is_memory());
     }
 
     #[test]

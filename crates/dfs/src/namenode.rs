@@ -349,11 +349,6 @@ impl NameNode {
             .map(|(&id, m)| BlockInfo { id, bytes: m.bytes })
             .collect()
     }
-
-    /// Total number of blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
 }
 
 #[cfg(test)]
@@ -377,7 +372,6 @@ mod tests {
         assert_eq!(blocks.len(), 4); // 3 full + 8 MiB tail
         assert_eq!(blocks[0].bytes, 64 * MIB);
         assert_eq!(blocks[3].bytes, 8 * MIB);
-        assert_eq!(nn.block_count(), 4);
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! Ignem itself).
 //!
 //! * [`time`] — integer-microsecond [`time::SimTime`] / [`time::SimDuration`].
-//! * [`event`] — the [`event::Engine`]: time-ordered event queue (a timing
-//!   wheel over a payload arena; no cancellation).
+//! * [`event`] — the [`event::Engine`]: time-ordered event queue (a binary
+//!   heap keyed by time and insertion order; no cancellation).
 //! * [`rng`] — version-stable seeded RNG ([`rng::SimRng`]).
 //! * [`dist`] — exponential / log-normal / Pareto samplers for workloads.
 //! * [`flow`] — fluid-flow processor-sharing resources with concurrency
 //!   degradation ([`flow::FlowResource`]): the disk/NIC model.
-//! * [`stats`] — online stats, CDFs, histograms, time-weighted series.
+//! * [`stats`] — CDFs, histograms, time-weighted series.
 //! * [`trace`] — category-filtered stderr sink ([`trace::StderrSink`]).
 //! * [`telemetry`] — typed event stream ([`telemetry::Event`]), flight
 //!   recorder with JSONL export.
@@ -63,7 +63,7 @@ pub mod prelude {
     pub use crate::flow::{FlowId, FlowResource};
     pub use crate::idmap::{DenseId, IdMap, IdSet};
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Histogram, OnlineStats, Samples, TimeWeighted};
+    pub use crate::stats::{Histogram, Samples, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::units::{fmt_bytes, GB, GIB, KB, MB, MIB, TB};
 }

@@ -1,5 +1,5 @@
-//! Metric collection: online moments, empirical CDFs, histograms and
-//! time-weighted series.
+//! Metric collection: empirical CDFs, histograms and time-weighted
+//! series.
 //!
 //! Every table and figure in the evaluation is produced from these types:
 //! block-read histograms (Fig. 1/6), task-runtime CDFs (Fig. 2), lead-time
@@ -7,111 +7,6 @@
 //! occupancy histograms (Fig. 7).
 
 use crate::time::{SimDuration, SimTime};
-
-/// Streaming mean/variance/min/max over `f64` samples (Welford's algorithm).
-///
-/// ```
-/// use ignem_simcore::stats::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [1.0, 2.0, 3.0] { s.push(x); }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let d = x - self.mean;
-        self.mean += d / self.count as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 for fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A collected sample set supporting percentiles, CDF evaluation and export.
 ///
@@ -478,42 +373,6 @@ impl TimeWeighted {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_moments() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.stddev(), 2.0);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert_eq!(s.sum(), 40.0);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_combined() {
-        let xs = [1.0, 5.0, 2.0, 8.0, 3.0, 9.0];
-        let mut all = OnlineStats::new();
-        xs.iter().for_each(|&x| all.push(x));
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        xs[..3].iter().for_each(|&x| a.push(x));
-        xs[3..].iter().for_each(|&x| b.push(x));
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-12);
-        assert_eq!(a.count(), all.count());
-    }
-
-    #[test]
-    fn empty_stats_are_sane() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.count(), 0);
-    }
 
     #[test]
     fn percentiles_interpolate() {

@@ -117,8 +117,6 @@ pub struct Disk {
     dirty: u64,
     flush_active: Option<(RequestId, u64)>,
     next_flush_id: u64,
-    bytes_read: u64,
-    bytes_written: u64,
     /// Sim-time metrics (disabled by default); `metrics_tag` distinguishes
     /// devices sharing one registry (e.g. the node index).
     metrics: MetricsRegistry,
@@ -138,8 +136,6 @@ impl Disk {
             dirty: 0,
             flush_active: None,
             next_flush_id: FLUSH_ID_BASE,
-            bytes_read: 0,
-            bytes_written: 0,
             metrics: MetricsRegistry::default(),
             metrics_tag: 0,
         }
@@ -166,16 +162,6 @@ impl Disk {
     /// Dirty (buffered, not yet flushed) bytes.
     pub fn dirty_bytes(&self) -> u64 {
         self.dirty
-    }
-
-    /// Total bytes delivered by completed read/migration requests.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
-    /// Total bytes accepted by `buffered_write`.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
     }
 
     /// Fraction of time the device has been busy since the start.
@@ -261,7 +247,6 @@ impl Disk {
     /// produced while advancing to `now`.
     pub fn buffered_write(&mut self, now: SimTime, bytes: u64) -> Vec<Completion> {
         self.dirty += bytes;
-        self.bytes_written += bytes;
         let done = self.advance(now);
         // advance() may already have started a flush; make sure.
         let mut more = self.maybe_start_flush(now);
@@ -347,7 +332,6 @@ impl Disk {
                 }
                 IoKind::Read | IoKind::Migration => {
                     self.foreground.remove(&info.id);
-                    self.bytes_read += info.bytes;
                     self.metrics.observe(
                         "disk_io_us",
                         self.metrics_tag,
@@ -453,7 +437,6 @@ mod tests {
         drain(&mut disk);
         assert_eq!(disk.dirty_bytes(), 0);
         assert_eq!(disk.in_flight(), 0);
-        assert_eq!(disk.bytes_written(), 1024 * MB);
     }
 
     #[test]
@@ -484,15 +467,6 @@ mod tests {
         disk.advance(t(2.0));
         let u = disk.utilization(t(2.0));
         assert!((u - 0.504).abs() < 0.01, "utilization {u}");
-    }
-
-    #[test]
-    fn bytes_read_accumulates() {
-        let mut disk = Disk::new(DeviceProfile::ssd());
-        disk.submit(SimTime::ZERO, RequestId(1), IoKind::Read, 10 * MB);
-        disk.submit(SimTime::ZERO, RequestId(2), IoKind::Read, 20 * MB);
-        drain(&mut disk);
-        assert_eq!(disk.bytes_read(), 30 * MB);
     }
 
     #[test]

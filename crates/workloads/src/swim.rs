@@ -208,15 +208,6 @@ impl SwimTrace {
             .count() as f64
             / self.jobs.len() as f64
     }
-
-    /// The workload makespan lower bound (last submission time).
-    pub fn last_submit(&self) -> SimDuration {
-        self.jobs
-            .iter()
-            .map(|j| j.submit)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
 }
 
 /// The paper's Fig. 5 job-size bins.
@@ -303,7 +294,7 @@ mod tests {
         for w in t.jobs.windows(2) {
             assert!(w[0].submit <= w[1].submit);
         }
-        assert!(t.last_submit() > SimDuration::ZERO);
+        assert!(t.jobs.last().expect("trace has jobs").submit > SimDuration::ZERO);
     }
 
     #[test]
