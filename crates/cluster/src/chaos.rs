@@ -626,10 +626,12 @@ pub fn run_chaos_with(cfg: &ChaosConfig, faults: Vec<(SimTime, Fault)>) -> Chaos
     )
 }
 
-/// [`run_chaos`] with a sim-time [`MetricsRegistry`] attached, returning
-/// the chaos report alongside the windowed metrics. The metrics handle is
-/// purely observational — the report (fingerprint, event stream) is
-/// bit-identical to an unobserved [`run_chaos`] of the same config.
+/// [`run_chaos`] with a sim-time
+/// [`MetricsRegistry`](ignem_simcore::metrics::MetricsRegistry) attached,
+/// returning the chaos report alongside the windowed metrics. The metrics
+/// handle is purely observational — the report (fingerprint, event
+/// stream) is bit-identical to an unobserved [`run_chaos`] of the same
+/// config.
 pub fn run_chaos_observed(
     cfg: &ChaosConfig,
     window: SimDuration,

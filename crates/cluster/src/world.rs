@@ -29,30 +29,28 @@
 //! ## Crash and recovery
 //!
 //! A [`Fault::NodeCrash`] kills the whole server like [`Fault::NodeFail`]
-//! (volatile MemStore wiped — pinned inputs, page cache and migrated
-//! blocks alike — in-flight IO and transfers cancelled, tasks re-executed
-//! elsewhere, NIC cut) but schedules a restart after the outage. On
-//! restart the slave comes back under a fresh
-//! [`Incarnation`](ignem_netsim::rpc::Incarnation) and re-registers with
+//! (volatile MemStore wiped — pinned inputs, page cache and migrated blocks
+//! alike — in-flight IO and transfers cancelled, tasks re-executed
+//! elsewhere, NIC cut) but schedules a restart after the outage. On restart
+//! the slave comes back under a fresh [`Incarnation`] and re-registers with
 //! the master over the lossy channel (retried with backoff); the
 //! registration doubles as a full block report from the node's durable
 //! disk, so the NameNode marks its replicas readable again. The master
 //! purges every outbox entry and job-routing record addressed to the dead
-//! incarnation — incarnations fence stale slave-directed state exactly
-//! like epochs fence stale master-issued state — then re-replication
-//! retries blocks still short a replica and migration is re-admitted
+//! incarnation — incarnations fence stale slave-directed state exactly like
+//! epochs fence stale master-issued state — then re-replication retries
+//! blocks still short a replica and migration is re-admitted
 //! ("re-ignition") for live jobs. Reads degrade to surviving replicas or
 //! disk while the node is dark. Invariant 8 (recovery convergence,
-//! [`RunMetrics::recovery`]) checks at the end of the run that no
-//! dangling dead-incarnation state survived anywhere.
+//! [`RunMetrics::recovery`]) checks at the end of the run that no dangling
+//! dead-incarnation state survived anywhere.
 //!
 //! ## Unreliable control plane
 //!
 //! All Ignem master ↔ slave traffic (migrate batches, evicts, liveness
-//! queries and replies) is routed through an
-//! [`RpcChannel`](ignem_netsim::rpc::RpcChannel) that can drop, duplicate
-//! and delay messages ([`ClusterConfig::rpc`]). Migrate and evict sends are
-//! acknowledged; the master retransmits unacked sends with capped
+//! queries and replies) is routed through an [`RpcChannel`] that can drop,
+//! duplicate and delay messages ([`ClusterConfig::rpc`]). Migrate and evict
+//! sends are acknowledged; the master retransmits unacked sends with capped
 //! exponential backoff and eventually gives up (slave-side command handling
 //! is idempotent, so duplicates are harmless). Liveness traffic is not
 //! acked — the slave's query cooldown naturally re-issues lost queries. A
@@ -63,21 +61,20 @@
 //!
 //! ## Epochs, leases, and the residency ledger
 //!
-//! Every master→slave message carries the master's
-//! [`Epoch`](ignem_netsim::rpc::Epoch), bumped on failover; slaves reject
-//! commands stamped older than the newest epoch they have seen (a
-//! retransmission from before a failover must not resurrect purged state)
-//! and treat a *newer* epoch as a missed failover notification. When
+//! Every master→slave message carries the master's [`Epoch`], bumped on
+//! failover; slaves reject commands stamped older than the newest epoch
+//! they have seen (a retransmission from before a failover must not
+//! resurrect purged state) and treat a *newer* epoch as a missed failover
+//! notification. When
 //! [`IgnemConfig::lease`](ignem_core::slave::IgnemConfig) is set, each
 //! job's references additionally carry a lease renewed by the job's own
-//! control traffic and by liveness replies; [`Event::LeaseCheck`] timers
-//! expire orphaned references deterministically even when the cleanup
-//! sweep has already wound down. A per-node double-entry
-//! [`ResidencyLedger`] mirrors the slaves' migrated/evicted byte counters
-//! and, under [`with_validation`](World::with_validation), is reconciled
-//! against every MemStore's occupancy after every event. All three
-//! mechanisms are inert in a fault-free run: no events, no randomness, no
-//! behaviour change.
+//! control traffic and by liveness replies; lease-check timers expire
+//! orphaned references deterministically even when the cleanup sweep has
+//! already wound down. A per-node double-entry [`ResidencyLedger`] mirrors
+//! the slaves' migrated/evicted byte counters and, under
+//! [`with_validation`](World::with_validation), is reconciled against every
+//! MemStore's occupancy after every event. All three mechanisms are inert
+//! in a fault-free run: no events, no randomness, no behaviour change.
 
 // Deterministic-iteration policy (lint rule D02): every map or set this
 // module iterates is an ordered container — a dense `IdMap`/`IdSet`
@@ -433,9 +430,9 @@ impl NodeColumns {
 /// The integrated simulator (see module docs).
 ///
 /// `Clone` copies the *deterministic* state structurally — engine queue
-/// (timing wheel, payload arena, insertion seq), every component, both
-/// RNG streams — while the observability handles ([`Telemetry`],
-/// [`MetricsRegistry`], [`HostProfiler`]) clone as shared references.
+/// (event heap, insertion seq), every component, both RNG streams —
+/// while the observability handles ([`Telemetry`], [`MetricsRegistry`],
+/// [`HostProfiler`]) clone as shared references.
 /// [`World::snapshot`]/[`World::restore`] build on this: see
 /// [`WorldSnapshot`] for the exact capture contract.
 #[derive(Clone)]
@@ -534,10 +531,10 @@ pub struct World {
 /// by [`World::restore`].
 ///
 /// **Captured:** every bit of deterministic simulation state — the
-/// engine's event queue (timing wheel, payload arena, insertion
-/// sequence, clock, processed count), NameNode, master, slaves, MemStores,
-/// storage devices, fabric, RPC channel with its in-flight
-/// retransmissions, both RNG streams, the residency ledger, accumulated run metrics, fault
+/// engine's event queue (event heap, insertion sequence, clock,
+/// processed count), NameNode, master, slaves, MemStores, storage
+/// devices, fabric, RPC channel with its in-flight retransmissions, both
+/// RNG streams, the residency ledger, accumulated run metrics, fault
 /// suppression flags, and the telemetry/metrics *cursors* (emission seq,
 /// open metrics window and totals).
 ///
@@ -709,7 +706,7 @@ impl World {
     }
 
     /// Attaches a streaming [`ArrivalSource`]: jobs are admitted lazily,
-    /// one [`Event::Arrival`] at a time, instead of being preloaded as a
+    /// one arrival event at a time, instead of being preloaded as a
     /// `Vec`. Composable with a preloaded plan list (streamed arrivals are
     /// appended after the preloaded plans as they arrive).
     ///
@@ -728,8 +725,7 @@ impl World {
         self
     }
 
-    /// Installs a typed event sink (e.g. a
-    /// [`FlightRecorder`](ignem_simcore::telemetry::FlightRecorder)) and
+    /// Installs a typed event sink (e.g. a [`FlightRecorder`]) and
     /// propagates the shared emission handle into the master, every slave
     /// and the RPC channel. Emission is zero-cost when no sink is
     /// installed, and consumes no randomness either way.
@@ -946,7 +942,7 @@ impl World {
         self.telemetry.replace_sink(sink)
     }
 
-    /// Neutralizes fault `idx`: its [`Event::Inject`] still pops (the
+    /// Neutralizes fault `idx`: its injection event still pops (the
     /// engine's seq bookkeeping is part of snapshot equivalence) but
     /// injects nothing and emits nothing — behaviorally identical to a
     /// world built without the fault.

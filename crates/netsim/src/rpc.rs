@@ -3,8 +3,8 @@
 //! The paper's Ignem master and slaves talk over ordinary datacenter RPC
 //! (migrate batches, evict commands, liveness queries/replies). A real
 //! network loses, delays and retransmits such messages; this module models
-//! that as a per-message decision process, driven by a seeded
-//! [`SimRng`](ignem_simcore::rng::SimRng) so every run is reproducible:
+//! that as a per-message decision process, driven by a seeded [`SimRng`]
+//! so every run is reproducible:
 //!
 //! * each message is **dropped** with a configurable probability;
 //! * a delivered message is **duplicated** (delivered twice) with a

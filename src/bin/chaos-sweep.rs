@@ -14,11 +14,12 @@
 //! `chaos-minimized.txt`) for CI artifact upload, and the process exits
 //! nonzero.
 //!
-//! `--crashes N` adds N [`Fault::NodeCrash`] draws to every seed's fault
-//! plan (on top of the default palette), exercising the crash/recovery
-//! protocol and the recovery-convergence invariant. The crash draws are
-//! appended after the base draws, so `--crashes 0` (the default) sweeps
-//! the same plans as before crash support existed.
+//! `--crashes N` adds N
+//! [`Fault::NodeCrash`](ignem_cluster::world::Fault::NodeCrash) draws to
+//! every seed's fault plan (on top of the default palette), exercising the
+//! crash/recovery protocol and the recovery-convergence invariant. The
+//! crash draws are appended after the base draws, so `--crashes 0` (the
+//! default) sweeps the same plans as before crash support existed.
 //!
 //! Seeds fan out over `--jobs` worker threads (default: available
 //! parallelism) through [`ignem_cluster::sweep`], which merges results in
