@@ -5,11 +5,19 @@
 use ignem_repro::bench::{Report, REPORT_SEED};
 use ignem_repro::cluster::chaos::fingerprint;
 use ignem_repro::cluster::config::FsMode;
-use ignem_repro::cluster::experiment::run_swim;
+use ignem_repro::cluster::experiment::{
+    run_hive, run_iterative, run_read_micro, run_rereads, run_sort, run_swim, run_wordcount,
+};
 use ignem_repro::cluster::metrics::{ReadKind, RunMetrics};
 use ignem_repro::core::policy::Policy;
 use ignem_repro::simcore::rng::SimRng;
+use ignem_repro::simcore::time::SimDuration;
+use ignem_repro::simcore::units::GB;
+use ignem_repro::storage::device::DeviceProfile;
+use ignem_repro::workloads::iterative::IterativeJob;
+use ignem_repro::workloads::jobs::WORDCOUNT_SWEEP_GB;
 use ignem_repro::workloads::swim::{SwimConfig, SwimTrace};
+use ignem_repro::workloads::tpcds::fig9_queries;
 
 fn out_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ignem-report-smoke-{tag}"))
@@ -120,6 +128,124 @@ fn report_swim_runs_are_pinned() {
     assert_eq!(
         got, REPORT_SWIM_GOLDEN,
         "report SWIM runs moved: {:#018x?}",
+        got
+    );
+}
+
+/// Folds per-run hashes (and any extra words) into one section hash.
+fn fold(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for w in words {
+        h.u64(w);
+    }
+    h.0
+}
+
+/// Hashes a section that runs no world: its text and its CSV file.
+fn section_hash(text: &str, csv: &std::path::Path) -> u64 {
+    let csv = std::fs::read(csv).unwrap();
+    fold(text.bytes().chain(csv).map(u64::from))
+}
+
+/// One hash per report section outside the SWIM pin, each over the world
+/// runs that section makes, with the parameters `Report` uses: reduce
+/// stages (Table III), multi-stage plans (Fig. 9, the iterative
+/// extension), cached inputs and the page cache (the caching extension).
+/// Figs. 3–4 run no world, so their text and CSV are hashed instead.
+fn report_world_hashes() -> [(&'static str, u64); 8] {
+    let dir = out_dir("pin-world");
+    let mut report = Report::new(&dir);
+    let cfg = report.config().clone();
+    let hash = |m: RunMetrics| swim_run_hash(&m);
+
+    let mut ssd = cfg.clone();
+    ssd.disk = DeviceProfile::ssd();
+    let micro = fold([
+        hash(run_read_micro(&cfg, FsMode::Hdfs, 24, 8)),
+        hash(run_read_micro(&ssd, FsMode::Hdfs, 24, 8)),
+        hash(run_read_micro(&cfg, FsMode::HdfsInputsInRam, 24, 8)),
+    ]);
+
+    let modes = [FsMode::Hdfs, FsMode::Ignem, FsMode::HdfsInputsInRam];
+    let sort = fold(modes.map(|mode| hash(run_sort(&cfg, mode, 40 * GB))));
+
+    let mut contended = cfg.clone();
+    contended.disk = DeviceProfile::hdd_contended();
+    let lead = SimDuration::from_secs(10);
+    let wordcount = fold(WORDCOUNT_SWEEP_GB.iter().flat_map(|&gb| {
+        [
+            (FsMode::Hdfs, SimDuration::ZERO),
+            (FsMode::Ignem, SimDuration::ZERO),
+            (FsMode::Ignem, lead),
+            (FsMode::HdfsInputsInRam, SimDuration::ZERO),
+        ]
+        .map(|(mode, extra)| hash(run_wordcount(&contended, mode, gb, extra)))
+    }));
+
+    let queries = fig9_queries();
+    let hive = fold([FsMode::Hdfs, FsMode::Ignem].map(|mode| hash(run_hive(&cfg, mode, &queries))));
+
+    let files = |p: &str| -> Vec<String> { (0..4).map(|i| format!("{p}/part-{i}")).collect() };
+    let jobs = [
+        IterativeJob::logistic_regression(files("/ml/lr"), 8 * GB, 6),
+        IterativeJob::kmeans(files("/ml/km"), 8 * GB, 6),
+    ];
+    let iterative = fold(jobs.iter().flat_map(|job| {
+        [FsMode::Hdfs, FsMode::Ignem].map(|mode| hash(run_iterative(&cfg, mode, job)))
+    }));
+
+    let mut cache = cfg.clone();
+    cache.cache_reads = true;
+    let caching = fold(
+        [
+            (&cfg, FsMode::Hdfs),
+            (&cache, FsMode::Hdfs),
+            (&cfg, FsMode::Ignem),
+        ]
+        .into_iter()
+        .flat_map(|(c, mode)| {
+            let (m, first, repeat) = run_rereads(c, mode, 8, 2 * GB);
+            [hash(m), first.to_bits(), repeat.to_bits()]
+        }),
+    );
+
+    let fig3 = report.fig3();
+    let fig3 = section_hash(&fig3.text, &dir.join("fig3_read_to_lead_cdf.csv"));
+    let fig4 = report.fig4();
+    let fig4 = section_hash(&fig4.text, &dir.join("fig4_disk_utilization.csv"));
+
+    [
+        ("fig1-2", micro),
+        ("fig3", fig3),
+        ("fig4", fig4),
+        ("table3", sort),
+        ("fig8", wordcount),
+        ("fig9", hive),
+        ("extension-iterative", iterative),
+        ("extension-caching", caching),
+    ]
+}
+
+/// Hashes of the report's sections outside the SWIM pin; a moved paper
+/// number in Figs. 1–4, Table III, Figs. 8–9 or the iterative and caching
+/// extensions changes one of them.
+const REPORT_WORLD_GOLDEN: [(&str, u64); 8] = [
+    ("fig1-2", 0x1cef_e383_be5c_6e4d),
+    ("fig3", 0x4a73_7803_38e4_1b1f),
+    ("fig4", 0x5bf2_16dd_b59f_194d),
+    ("table3", 0xa1e6_a23d_dad4_7338),
+    ("fig8", 0xb934_5e35_4782_5449),
+    ("fig9", 0xa002_ff13_f72f_3608),
+    ("extension-iterative", 0xce36_fbc1_d788_9a79),
+    ("extension-caching", 0xf6ae_a388_7fbd_5906),
+];
+
+#[test]
+fn report_world_runs_are_pinned() {
+    let got = report_world_hashes();
+    assert_eq!(
+        got, REPORT_WORLD_GOLDEN,
+        "report world runs moved: {:#018x?}",
         got
     );
 }
