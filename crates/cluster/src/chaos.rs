@@ -550,7 +550,7 @@ pub fn fingerprint(m: &RunMetrics) -> u64 {
     h.u64(m.block_reports);
     h.u64(m.reignited_jobs);
     h.u64(m.recovery.is_some() as u64);
-    h.u64(m.speculated);
+    h.u64(0); // the retired speculation counter's slot, kept so pins hold
     h.u64(m.leaked_job_refs);
     h.u64(m.final_migrated_bytes);
     for u in &m.disk_utilization {

@@ -209,8 +209,6 @@ pub struct RunMetrics {
     /// retransmission outbox drained, and no durably written block was
     /// left without an alive replica. `Some` carries the violation.
     pub recovery: Option<String>,
-    /// Speculative task attempts launched (0 unless speculation is on).
-    pub speculated: u64,
     /// Time the last job finished.
     pub makespan: SimTime,
     /// Engine events processed over the whole run. Deterministic for a

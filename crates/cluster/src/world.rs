@@ -573,7 +573,8 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid configuration or duplicate file paths.
+    /// Panics on an invalid configuration, an invalid job spec or
+    /// duplicate file paths.
     pub fn new(
         cfg: ClusterConfig,
         mode: FsMode,
@@ -627,6 +628,7 @@ impl World {
         // Schedule the plan, heartbeats and faults.
         for (i, p) in plans.iter().enumerate() {
             assert!(!p.stages.is_empty(), "plan {i} has no stages");
+            p.stages.iter().for_each(JobSpec::validate);
             engine.schedule_at(SimTime::ZERO + p.submit, Event::Submit(i));
         }
         let hb = cfg.compute.heartbeat;
@@ -1206,6 +1208,7 @@ impl World {
             .expect("Arrival event with no pending arrival");
         let idx = self.plans.len();
         assert!(!plan.stages.is_empty(), "streamed plan {idx} has no stages");
+        plan.stages.iter().for_each(JobSpec::validate);
         self.plans.push(plan);
         self.plan_state.push(PlanState {
             current_stage: 0,
@@ -1341,8 +1344,8 @@ impl World {
         }
         self.telemetry
             .emit(|| TelemetryEvent::JobScheduled { job: job.0 });
-        let now = self.engine.now();
         let spec = self.spec(job);
+        let reducers = spec.reducers;
         let inputs: Vec<MapInput> = match &spec.input {
             JobInput::DfsFiles(files) => {
                 let mut v = Vec::new();
@@ -1371,9 +1374,7 @@ impl World {
             self.finish_job(job);
             return;
         }
-        let spec = spec.clone();
-        let submitted = self.jobs[&job].submitted;
-        self.tracker.submit(job, spec, submitted, now, &inputs);
+        self.tracker.submit(job, reducers, &inputs);
     }
 
     // ------------------------------------------------------------------
@@ -1396,10 +1397,6 @@ impl World {
             return;
         }
         self.assign_tasks(NodeId(n), false);
-        if self.cfg.compute.speculation && n == 0 {
-            // One straggler sweep per heartbeat round (node 0's beat).
-            self.check_stragglers();
-        }
         if self.work_remaining() {
             self.engine
                 .schedule_in(self.cfg.compute.heartbeat, Event::Heartbeat(n));
@@ -1414,9 +1411,6 @@ impl World {
     /// short-circuit skips the whole O(nodes) walk on quiet rounds, which
     /// at 12k nodes is nearly all of them.
     fn on_heartbeat_sweep(&mut self, round: u64) {
-        if self.cfg.compute.speculation {
-            self.check_stragglers();
-        }
         let nodes = self.cfg.nodes;
         let start = (round % nodes as u64) as usize;
         for i in 0..nodes {
@@ -1438,93 +1432,12 @@ impl World {
         }
     }
 
-    /// Speculative execution: duplicate map tasks that have been running
-    /// far longer than their job's mean completed-map time.
-    fn check_stragglers(&mut self) {
-        let now = self.engine.now();
-        let threshold = self.cfg.compute.speculation_threshold;
-        let mut to_speculate = Vec::new();
-        let jobs: Vec<JobId> = self.tracker.jobs().map(|j| j.id).collect();
-        for job in jobs {
-            let j = self.tracker.job(job);
-            if j.is_finished() {
-                continue;
-            }
-            let done: Vec<f64> = j
-                .map_tasks
-                .iter()
-                .filter_map(|t| self.tracker.task(*t).duration())
-                .collect();
-            if done.len() < 3 {
-                continue; // not enough signal
-            }
-            let mean = done.iter().sum::<f64>() / done.len() as f64;
-            for &t in &j.map_tasks {
-                let rec = self.tracker.task(t);
-                if let (ignem_compute::tracker::TaskState::Assigned(_), Some(at)) =
-                    (rec.state, rec.assigned_at)
-                {
-                    let elapsed = now.duration_since(at).as_secs_f64();
-                    if elapsed > threshold * mean {
-                        to_speculate.push(t);
-                    }
-                }
-            }
-        }
-        for t in to_speculate {
-            if self.tracker.speculate(t).is_some() {
-                self.metrics.speculated += 1;
-                self.telemetry.emit(|| TelemetryEvent::TaskSpeculated {
-                    task: t.0,
-                    job: self.tracker.task(t).job.0,
-                });
-            }
-        }
-    }
-
-    /// Cancels any in-flight IO owned by `task` (a cancelled speculative
-    /// attempt).
-    fn cancel_task_io(&mut self, task: TaskId) {
-        // Owner maps iterate in key order (node 0..N, then ascending
-        // request id), disks before RAM paths, so two runs with the same
-        // seed cancel (and thus draw randomness) in the same order.
-        let nodes = self.cfg.nodes;
-        for device in [Device::Disk, Device::Ram] {
-            let first = self.device_index(device, 0);
-            let keys: Vec<(u32, RequestId)> = self.io_owner[first..first + nodes]
-                .iter()
-                .enumerate()
-                .flat_map(|(n, owners)| {
-                    owners
-                        .iter()
-                        .filter(
-                            |(_, o)| matches!(o, DiskOwner::MapRead { task: t, .. } if *t == task),
-                        )
-                        .map(move |(req, _)| (n as u32, req))
-                })
-                .collect();
-            for (n, req) in keys {
-                self.cancel_io(device, n, req);
-            }
-        }
-        let xfers: Vec<TransferId> = self
-            .net_owner
-            .iter()
-            .filter(|(_, o)| matches!(o, NetOwner::MapRead { task: t, .. } if *t == task))
-            .map(|(k, _)| k)
-            .collect();
-        for id in xfers {
-            self.cancel_net(id);
-        }
-    }
-
     /// Fills free slots on `node`. At heartbeats any task may be assigned;
     /// on container reuse (`reuse = true`, immediately after a completion)
     /// Tez hands the freed container a new task without waiting for the
     /// next ResourceManager heartbeat — but a *brand-new* job's first tasks
     /// still wait for a heartbeat, preserving that lead-time source.
     fn assign_tasks(&mut self, node: NodeId, reuse: bool) {
-        let now = self.engine.now();
         loop {
             if self.slots.free(node) == 0 {
                 break;
@@ -1557,7 +1470,7 @@ impl World {
                 job: self.tracker.task(task).job.0,
                 node: node.0,
             });
-            self.tracker.assign(now, task, node);
+            self.tracker.assign(task, node);
             self.engine.schedule_in(
                 self.cfg.compute.task_launch_overhead,
                 Event::TaskLaunched(task),
@@ -1745,24 +1658,13 @@ impl World {
                 self.settle_io(Device::Disk, node.0, done);
             }
         }
-        let outcome = self.tracker.complete(now, task);
+        let job_finished = self.tracker.complete(task);
         self.slots.release(node);
         self.telemetry.emit(|| TelemetryEvent::TaskFinished {
             task: task.0,
             job: rec.job.0,
             node: node.0,
         });
-        if let Some((loser, loser_node)) = outcome.cancelled_attempt {
-            self.task_launched_at.remove(&loser);
-            self.cancel_task_io(loser);
-            if let Some(nd) = loser_node {
-                if self.cols.alive.get(nd.0 as usize) {
-                    self.slots.release(nd);
-                    // The freed container can take new work immediately.
-                    self.assign_tasks(nd, true);
-                }
-            }
-        }
         if let Some(launched) = self.task_launched_at.remove(&task) {
             let d = now.duration_since(launched).as_secs_f64();
             match rec.kind {
@@ -1770,7 +1672,7 @@ impl World {
                 TaskKind::Reduce { .. } => self.metrics.reduce_task_secs.push(d),
             }
         }
-        if outcome.job_finished {
+        if job_finished {
             self.finish_job(rec.job);
         }
         // Tez container reuse: the freed slot takes another task at once.

@@ -22,13 +22,6 @@ pub struct ComputeConfig {
     /// Fixed overhead the job-submitter spends before the job is queued
     /// (client-side planning, RPC round-trips).
     pub submit_overhead: SimDuration,
-    /// Enable speculative execution: map tasks running much longer than
-    /// their job's completed-task mean get a duplicate attempt; the first
-    /// finisher wins (Hadoop's classic straggler mitigation).
-    pub speculation: bool,
-    /// Straggler threshold: a running map is speculated once its elapsed
-    /// time exceeds this multiple of the job's mean completed-map time.
-    pub speculation_threshold: f64,
     /// Log-sigma of per-task compute-time jitter (0 = deterministic
     /// compute). Models heterogeneous task service times — the straggler
     /// effect the cluster literature studies. The multiplier is a
@@ -48,8 +41,6 @@ impl Default for ComputeConfig {
             slots_per_node: 12,
             task_launch_overhead: SimDuration::from_millis(1000),
             submit_overhead: SimDuration::from_millis(500),
-            speculation: false,
-            speculation_threshold: 2.0,
             compute_jitter_sigma: 0.0,
             am_overhead: SimDuration::from_secs(5),
         }
@@ -68,10 +59,6 @@ impl ComputeConfig {
         assert!(
             self.compute_jitter_sigma.is_finite() && self.compute_jitter_sigma >= 0.0,
             "bad jitter sigma"
-        );
-        assert!(
-            self.speculation_threshold.is_finite() && self.speculation_threshold > 1.0,
-            "speculation threshold must exceed 1"
         );
     }
 }

@@ -25,8 +25,8 @@ pub mod prelude {
     pub use crate::job::{JobInput, JobSpec, SubmitOptions};
     pub use crate::slots::Slots;
     pub use crate::tracker::{
-        choose_map_task, choose_reduce_task, CompletionOutcome, JobRuntime, JobTracker, MapInput,
-        TaskId, TaskKind, TaskRecord, TaskState,
+        choose_map_task, choose_reduce_task, JobRuntime, JobTracker, MapInput, TaskId, TaskKind,
+        TaskRecord, TaskState,
     };
 }
 

@@ -829,7 +829,6 @@ impl Builder {
             // forces a decision here; the X01 cross-check audits this
             // match against the enum.
             Event::TaskStarted { .. }
-            | Event::TaskSpeculated { .. }
             | Event::MigrationRejected { .. }
             | Event::RpcSent { .. }
             | Event::RpcDropped { .. }

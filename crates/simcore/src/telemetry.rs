@@ -142,13 +142,6 @@ pub enum Event {
         /// Node the task ran on.
         node: u32,
     },
-    /// A straggling map task got a speculative duplicate attempt.
-    TaskSpeculated {
-        /// The straggling task.
-        task: u64,
-        /// Owning job.
-        job: u64,
-    },
     /// A map task finished reading its input block.
     BlockRead {
         /// Reading task.
@@ -402,7 +395,6 @@ impl Event {
             Event::TaskAssigned { .. } => "task_assigned",
             Event::TaskStarted { .. } => "task_started",
             Event::TaskFinished { .. } => "task_finished",
-            Event::TaskSpeculated { .. } => "task_speculated",
             Event::BlockRead { .. } => "block_read",
             Event::MigrationRejected { .. } => "migration_rejected",
             Event::MigrationAssigned { .. } => "migration_assigned",
@@ -441,10 +433,9 @@ impl Event {
             Event::JobSubmitted { .. }
             | Event::JobScheduled { .. }
             | Event::JobCompleted { .. } => "job",
-            Event::TaskAssigned { .. }
-            | Event::TaskStarted { .. }
-            | Event::TaskFinished { .. }
-            | Event::TaskSpeculated { .. } => "task",
+            Event::TaskAssigned { .. } | Event::TaskStarted { .. } | Event::TaskFinished { .. } => {
+                "task"
+            }
             Event::BlockRead { .. } => "read",
             Event::MigrationRejected { .. }
             | Event::MigrationAssigned { .. }
@@ -500,10 +491,6 @@ impl Event {
                 push_u64(out, "task", *task);
                 push_u64(out, "job", *job);
                 push_u64(out, "node", *node as u64);
-            }
-            Event::TaskSpeculated { task, job } => {
-                push_u64(out, "task", *task);
-                push_u64(out, "job", *job);
             }
             Event::BlockRead {
                 task,
@@ -1026,7 +1013,6 @@ mod tests {
                 job: 0,
                 node: 0,
             },
-            Event::TaskSpeculated { task: 0, job: 0 },
             Event::BlockRead {
                 task: 0,
                 job: 0,
