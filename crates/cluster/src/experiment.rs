@@ -5,8 +5,6 @@
 //! (the `ignem-bench` crate and the examples call them; `EXPERIMENTS.md`
 //! records the outputs).
 
-use std::ops::ControlFlow;
-
 use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
 use ignem_core::command::EvictionMode;
 use ignem_core::policy::Policy;
@@ -21,51 +19,7 @@ use ignem_workloads::tpcds::HiveQuery;
 
 use crate::config::{ClusterConfig, FsMode};
 use crate::metrics::RunMetrics;
-use crate::sweep;
 use crate::world::{PlannedJob, World};
-
-/// The three-configuration comparison the paper's tables report.
-#[derive(Debug, Clone)]
-pub struct Comparison {
-    /// Plain HDFS (baseline).
-    pub hdfs: RunMetrics,
-    /// HDFS + Ignem.
-    pub ignem: RunMetrics,
-    /// HDFS-Inputs-in-RAM (upper bound).
-    pub ram: RunMetrics,
-}
-
-impl Comparison {
-    /// Runs the same plan under all three configurations. The three worlds
-    /// are independent, so they run on the [`sweep::sweep`] pool
-    /// ([`sweep::default_jobs`] threads); results are consumed in
-    /// configuration order regardless of which finishes first.
-    pub fn run(
-        cfg: &ClusterConfig,
-        files: &[(String, u64)],
-        plan_for: impl Fn(bool) -> Vec<PlannedJob> + Sync,
-    ) -> Comparison {
-        const MODES: [FsMode; 3] = [FsMode::Hdfs, FsMode::Ignem, FsMode::HdfsInputsInRam];
-        let mut runs = Vec::with_capacity(MODES.len());
-        sweep::sweep(
-            0,
-            MODES.len() as u64,
-            sweep::default_jobs(),
-            |i| {
-                let mode = MODES[i as usize];
-                let migrate = mode == FsMode::Ignem;
-                World::new(cfg.clone(), mode, files, plan_for(migrate), vec![]).run()
-            },
-            |_, metrics| {
-                runs.push(metrics);
-                ControlFlow::<()>::Continue(())
-            },
-        );
-        let [hdfs, ignem, ram]: [RunMetrics; 3] =
-            runs.try_into().expect("one run per configuration");
-        Comparison { hdfs, ignem, ram }
-    }
-}
 
 /// Converts a SWIM trace entry into a [`JobSpec`] over its dedicated input
 /// file, with the given eviction mode (explicit, or implicit for the

@@ -1,10 +1,10 @@
 //! Parallel deterministic sweep runner.
 //!
-//! Fans independent pieces of work (chaos seeds, the three worlds of an
-//! [`experiment::Comparison`](crate::experiment::Comparison)) out to a
-//! scoped-thread worker pool and hands results back **in input order**,
-//! so everything derived from a sweep — printed progress, the exit code,
-//! the minimized-schedule artifact — is byte-identical to a serial run.
+//! Fans independent pieces of work (chaos seeds, for the `chaos-sweep`
+//! binary and the benchmark's `chaos_sweep` workload) out to a
+//! scoped-thread worker pool and hands results back **in input order**, so
+//! everything derived from a sweep — printed progress, the exit code, the
+//! minimized-schedule artifact — is byte-identical to a serial run.
 //! Determinism comes from two properties:
 //!
 //! 1. each work item runs against its own isolated [`World`]-building
