@@ -5,7 +5,10 @@
 //!        [--perfetto-chaos SEED] [--at SEQ] [--at-seed SEED] [SECTION...]
 //!
 //! SECTION: fig1 fig2 fig3 fig4 table1 fig5 table2 fig6 fig7 table3 fig8
-//!          fig9 ablation-priority telemetry   (default: all)
+//!          fig9 ablation-priority ablation-concurrency ablation-replicas
+//!          ablation-eviction ablation-heartbeat ablation-jitter
+//!          extension-benefit extension-iterative extension-caching
+//!          telemetry   (default: all)
 //! OUT_DIR: where CSVs go (default: ./results)
 //! --trace-out PATH: where the telemetry section writes the run's raw
 //!          event stream as JSONL
