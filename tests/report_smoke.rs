@@ -6,9 +6,11 @@ use ignem_repro::bench::{Report, REPORT_SEED};
 use ignem_repro::cluster::chaos::fingerprint;
 use ignem_repro::cluster::config::FsMode;
 use ignem_repro::cluster::experiment::{
-    run_hive, run_iterative, run_read_micro, run_rereads, run_sort, run_swim, run_wordcount,
+    run_hive, run_iterative, run_read_micro, run_rereads, run_sort, run_swim, run_swim_with,
+    run_wordcount,
 };
 use ignem_repro::cluster::metrics::{ReadKind, RunMetrics};
+use ignem_repro::core::command::EvictionMode;
 use ignem_repro::core::policy::Policy;
 use ignem_repro::simcore::rng::SimRng;
 use ignem_repro::simcore::time::SimDuration;
@@ -246,6 +248,80 @@ fn report_world_runs_are_pinned() {
     assert_eq!(
         got, REPORT_WORLD_GOLDEN,
         "report world runs moved: {:#018x?}",
+        got
+    );
+}
+
+/// One hash per extended ablation and `extension-benefit`, over the SWIM
+/// runs each section makes on the report's configuration and trace. The
+/// default-configuration rows are the runs the SWIM pin already covers,
+/// so only the varied rows run here. They vary how many blocks sit in
+/// memory when a task is picked: migration concurrency and replica count,
+/// eviction mode, heartbeat interval, compute jitter and migration order.
+fn report_ablation_hashes() -> [(&'static str, u64); 6] {
+    let report = Report::new(out_dir("pin-ablation"));
+    let cfg = report.config();
+    let trace = SwimTrace::generate(&SwimConfig::default(), &mut SimRng::new(REPORT_SEED));
+    let ignem = |c: &_, evict| swim_run_hash(&run_swim_with(c, FsMode::Ignem, &trace, evict));
+    let both = |c: &_| {
+        [FsMode::Hdfs, FsMode::Ignem].map(|mode| swim_run_hash(&run_swim(c, mode, &trace, None)))
+    };
+
+    let concurrency = fold([2usize, 4, 8].map(|k| {
+        let mut c = cfg.clone();
+        c.ignem.max_concurrent_migrations = k;
+        ignem(&c, EvictionMode::Explicit)
+    }));
+    let replicas = fold([2usize, 3].map(|k| {
+        let mut c = cfg.clone();
+        c.master.replicas_to_migrate = k;
+        ignem(&c, EvictionMode::Explicit)
+    }));
+    let eviction = fold([ignem(cfg, EvictionMode::Implicit)]);
+    let heartbeat = fold([1u64, 6].into_iter().flat_map(|secs| {
+        let mut c = cfg.clone();
+        c.compute.heartbeat = SimDuration::from_secs(secs);
+        both(&c)
+    }));
+    let jitter = fold([0.3f64, 0.6].into_iter().flat_map(|sigma| {
+        let mut c = cfg.clone();
+        c.compute.compute_jitter_sigma = sigma;
+        both(&c)
+    }));
+    let benefit = fold([1u64, 4, 16].map(|gb| {
+        let policy = Policy::BenefitAware {
+            sweet_spot_bytes: gb * GB,
+        };
+        swim_run_hash(&run_swim(cfg, FsMode::Ignem, &trace, Some(policy)))
+    }));
+
+    [
+        ("ablation-concurrency", concurrency),
+        ("ablation-replicas", replicas),
+        ("ablation-eviction", eviction),
+        ("ablation-heartbeat", heartbeat),
+        ("ablation-jitter", jitter),
+        ("extension-benefit", benefit),
+    ]
+}
+
+/// Hashes of the extended ablations' and `extension-benefit`'s varied
+/// runs; a moved number in any of those sections changes one of them.
+const REPORT_ABLATION_GOLDEN: [(&str, u64); 6] = [
+    ("ablation-concurrency", 0x0a1e_79cc_e5c4_a0cb),
+    ("ablation-replicas", 0xf48f_5f7a_8542_bb36),
+    ("ablation-eviction", 0x00ef_401a_f5a1_4f51),
+    ("ablation-heartbeat", 0xe9d3_4dbe_ff5d_3ef2),
+    ("ablation-jitter", 0xc270_a45c_8dce_39db),
+    ("extension-benefit", 0xa3ea_2a5b_5d44_be47),
+];
+
+#[test]
+fn report_ablation_runs_are_pinned() {
+    let got = report_ablation_hashes();
+    assert_eq!(
+        got, REPORT_ABLATION_GOLDEN,
+        "report ablation runs moved: {:#018x?}",
         got
     );
 }
