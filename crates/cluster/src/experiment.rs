@@ -349,13 +349,11 @@ pub fn run_iterative(
     mode: FsMode,
     job: &ignem_workloads::iterative::IterativeJob,
 ) -> RunMetrics {
-    let parts = 4u64;
     let files: Vec<(String, u64)> = job
         .input_files
         .iter()
         .map(|p| (p.clone(), job.input_bytes / job.input_files.len() as u64))
         .collect();
-    let _ = parts;
     let plan = vec![PlannedJob {
         name: job.name.clone(),
         submit: SimDuration::from_secs(1),
