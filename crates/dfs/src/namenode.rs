@@ -74,7 +74,11 @@ pub struct NameNode {
     files: BTreeMap<FileId, FileMeta>,
     by_path: BTreeMap<String, FileId>,
     blocks: BTreeMap<BlockId, BlockMeta>,
-    alive: BTreeMap<NodeId, bool>,
+    /// Alive datanodes in ascending id order: placement's candidate list,
+    /// kept between calls so that a file copies it instead of rebuilding it.
+    alive: Vec<NodeId>,
+    /// Registered datanodes that are dead, in ascending id order.
+    dead: Vec<NodeId>,
     next_file: u64,
     next_block: u64,
 }
@@ -93,7 +97,8 @@ impl NameNode {
             files: BTreeMap::new(),
             by_path: BTreeMap::new(),
             blocks: BTreeMap::new(),
-            alive: BTreeMap::new(),
+            alive: Vec::new(),
+            dead: Vec::new(),
             next_file: 0,
             next_block: 0,
         }
@@ -104,9 +109,13 @@ impl NameNode {
         &self.config
     }
 
-    /// Registers a datanode (initially alive).
+    /// Registers a datanode (initially alive). Registering a dead node
+    /// brings it back.
     pub fn register_node(&mut self, node: NodeId) {
-        self.alive.insert(node, true);
+        if let Ok(i) = self.dead.binary_search(&node) {
+            self.dead.remove(i);
+        }
+        insert_sorted(&mut self.alive, node);
     }
 
     /// Marks a datanode dead: its replicas disappear from location queries.
@@ -115,13 +124,7 @@ impl NameNode {
     ///
     /// [`DfsError::UnknownNode`] if the node was never registered.
     pub fn mark_dead(&mut self, node: NodeId) -> Result<(), DfsError> {
-        match self.alive.get_mut(&node) {
-            Some(a) => {
-                *a = false;
-                Ok(())
-            }
-            None => Err(DfsError::UnknownNode(node)),
-        }
+        move_node(&mut self.alive, &mut self.dead, node)
     }
 
     /// Marks a datanode alive again (its replicas reappear).
@@ -130,32 +133,27 @@ impl NameNode {
     ///
     /// [`DfsError::UnknownNode`] if the node was never registered.
     pub fn mark_alive(&mut self, node: NodeId) -> Result<(), DfsError> {
-        match self.alive.get_mut(&node) {
-            Some(a) => {
-                *a = true;
-                Ok(())
-            }
-            None => Err(DfsError::UnknownNode(node)),
-        }
+        move_node(&mut self.dead, &mut self.alive, node)
     }
 
     /// Whether a node is registered and alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive.get(&node).copied().unwrap_or(false)
+        self.alive.binary_search(&node).is_ok()
     }
 
-    /// All currently alive datanodes.
-    pub fn alive_nodes(&self) -> Vec<NodeId> {
-        self.alive
-            .iter()
-            .filter(|(_, &a)| a)
-            .map(|(&n, _)| n)
-            .collect()
+    /// All currently alive datanodes, in ascending id order.
+    pub fn alive_nodes(&self) -> &[NodeId] {
+        &self.alive
     }
 
     /// Creates a file of `bytes`, splitting it into blocks and placing
     /// `replication` replicas of each block on distinct random alive nodes
     /// (fewer if the cluster is smaller).
+    ///
+    /// The file copies the ascending alive list once; each block shuffles
+    /// that copy further with [`SimRng::shuffle`] and keeps its first
+    /// `replication` nodes. So a block costs `alive - 1` draws, and its
+    /// replicas depend on every earlier draw of the file.
     ///
     /// # Errors
     ///
@@ -170,7 +168,7 @@ impl NameNode {
         if self.by_path.contains_key(path) {
             return Err(DfsError::FileExists(path.to_string()));
         }
-        let mut candidates = self.alive_nodes();
+        let mut candidates = self.alive.clone();
         if candidates.is_empty() {
             return Err(DfsError::NoAliveNodes);
         }
@@ -290,7 +288,7 @@ impl NameNode {
     /// [`DfsError::BlockNotFound`] for an unknown block,
     /// [`DfsError::UnknownNode`] for an unregistered node.
     pub fn add_replica(&mut self, block: BlockId, node: NodeId) -> Result<(), DfsError> {
-        if !self.alive.contains_key(&node) {
+        if !self.is_alive(node) && self.dead.binary_search(&node).is_err() {
             return Err(DfsError::UnknownNode(node));
         }
         let meta = self
@@ -311,7 +309,7 @@ impl NameNode {
             .iter()
             .filter(|(_, m)| {
                 let alive = m.replicas.iter().filter(|n| self.is_alive(**n)).count();
-                alive > 0 && alive < self.config.replication.min(self.alive_nodes().len())
+                alive > 0 && alive < self.config.replication.min(self.alive.len())
             })
             .map(|(&b, _)| b)
             .collect()
@@ -326,7 +324,7 @@ impl NameNode {
             return false;
         };
         let alive = meta.replicas.iter().filter(|n| self.is_alive(**n)).count();
-        alive > 0 && alive < self.config.replication.min(self.alive_nodes().len())
+        alive > 0 && alive < self.config.replication.min(self.alive.len())
     }
 
     /// Blocks with **no** alive replica at all: every copy sits on a dead
@@ -348,6 +346,27 @@ impl NameNode {
             .filter(|(_, m)| m.replicas.contains(&node))
             .map(|(&id, m)| BlockInfo { id, bytes: m.bytes })
             .collect()
+    }
+}
+
+/// Inserts `node` into the ascending `list` unless it is already there.
+fn insert_sorted(list: &mut Vec<NodeId>, node: NodeId) {
+    if let Err(i) = list.binary_search(&node) {
+        list.insert(i, node);
+    }
+}
+
+/// Moves `node` from the ascending `from` into the ascending `to`. A node
+/// already in `to` stays where it is.
+fn move_node(from: &mut Vec<NodeId>, to: &mut Vec<NodeId>, node: NodeId) -> Result<(), DfsError> {
+    match from.binary_search(&node) {
+        Ok(i) => {
+            from.remove(i);
+            insert_sorted(to, node);
+            Ok(())
+        }
+        Err(_) if to.binary_search(&node).is_ok() => Ok(()),
+        Err(_) => Err(DfsError::UnknownNode(node)),
     }
 }
 

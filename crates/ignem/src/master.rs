@@ -356,11 +356,10 @@ impl IgnemMaster {
             if info.bytes == 0 {
                 continue;
             }
-            let locations = namenode.locations(info.id)?;
-            if locations.is_empty() {
+            let mut candidates = namenode.locations(info.id)?;
+            if candidates.is_empty() {
                 continue;
             }
-            let mut candidates = locations.clone();
             rng.shuffle(&mut candidates);
             let k = self.config.replicas_to_migrate.max(1).min(candidates.len());
             let epoch = self.epoch;

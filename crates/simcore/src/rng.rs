@@ -69,6 +69,11 @@ impl SimRng {
     /// Panics if `n == 0`.
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index: empty range");
+        self.below(n)
+    }
+
+    /// A uniform integer in `[0, n)` for `n > 0`, unchecked.
+    fn below(&mut self, n: usize) -> usize {
         // Multiply-shift; bias is negligible for simulation n << 2^64.
         ((self.splitmix() as u128 * n as u128) >> 64) as usize
     }
@@ -83,9 +88,16 @@ impl SimRng {
     }
 
     /// Fisher–Yates shuffles a slice in place.
+    ///
+    /// The draws are a contract: for `i` from `len - 1` down to 1, swap
+    /// `items[i]` with `items[self.index(i + 1)]`. That is `len - 1`
+    /// draws (none for `len < 2`), each the value `index` would return.
+    /// Replica placement (`NameNode::create_file`) and so every golden
+    /// pin depend on it. Each step skips `index`'s empty-range check,
+    /// which cannot fire for a range of `i + 1 >= 2`.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
+            let j = self.below(i + 1);
             items.swap(i, j);
         }
     }
@@ -161,6 +173,25 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
+    }
+
+    /// `shuffle`'s draw contract (see its doc), against the loop it
+    /// stands for, including the generator state it leaves behind.
+    #[test]
+    fn shuffle_draws_match_an_index_loop() {
+        for len in [0usize, 1, 2, 3, 17, 4096] {
+            let mut fast = SimRng::new(0x5EED ^ len as u64);
+            let mut slow = fast.clone();
+            let mut got: Vec<usize> = (0..len).collect();
+            let mut want = got.clone();
+            fast.shuffle(&mut got);
+            for i in (1..len).rev() {
+                let j = slow.index(i + 1);
+                want.swap(i, j);
+            }
+            assert_eq!(got, want, "len {len}");
+            assert_eq!(fast.next_u64(), slow.next_u64(), "len {len}");
+        }
     }
 
     #[test]
