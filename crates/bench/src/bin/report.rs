@@ -4,11 +4,7 @@
 //! report [OUT_DIR] [--trace-out PATH] [--perfetto-out PATH]
 //!        [--perfetto-chaos SEED] [--at SEQ] [--at-seed SEED] [SECTION...]
 //!
-//! SECTION: fig1 fig2 fig3 fig4 table1 fig5 table2 fig6 fig7 table3 fig8
-//!          fig9 ablation-priority ablation-concurrency ablation-replicas
-//!          ablation-eviction ablation-heartbeat ablation-jitter
-//!          extension-benefit extension-iterative extension-caching
-//!          telemetry   (default: all)
+//! SECTION: a section id from `ignem_bench::SECTIONS`, or all (default)
 //! OUT_DIR: where CSVs go (default: ./results)
 //! --trace-out PATH: where the telemetry section writes the run's raw
 //!          event stream as JSONL
@@ -24,88 +20,95 @@
 //! --at-seed SEED: which chaos seed `--at` replays (default 304, the
 //!          repo's pinned reference-leak seed)
 //! ```
+//!
+//! An unknown flag, a flag without its value, a malformed number or an
+//! unknown section exits 2 before anything is written.
 
-use ignem_bench::{Report, Section};
+use ignem_bench::{Render, Report, SECTIONS};
 use ignem_cluster::chaos::{state_at, ChaosConfig};
 
-/// Whether an argument names a report section (as opposed to OUT_DIR).
-fn is_section(name: &str) -> bool {
-    name.starts_with("fig")
-        || name.starts_with("table")
-        || name.starts_with("ablation")
-        || name.starts_with("extension")
-        || name == "telemetry"
-        || name == "all"
+/// Every flag `report` takes, with the value it needs.
+const FLAGS: [(&str, &str); 5] = [
+    ("--trace-out", "a path"),
+    ("--perfetto-out", "a path"),
+    ("--perfetto-chaos", "an integer seed"),
+    ("--at", "an integer telemetry sequence number"),
+    ("--at-seed", "an integer seed"),
+];
+
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Splits the command line into the value of each flag of [`FLAGS`], in
+/// its order, and the positional arguments. Exits 2 on any other `--`
+/// argument and on a flag without its value.
+fn parse(mut args: impl Iterator<Item = String>) -> ([Option<String>; 5], Vec<String>) {
+    let mut values: [Option<String>; 5] = Default::default();
+    let mut positional = Vec::new();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg);
+            continue;
+        }
+        let Some(i) = FLAGS.iter().position(|(flag, _)| *flag == arg) else {
+            let flags: Vec<&str> = FLAGS.iter().map(|(flag, _)| *flag).collect();
+            fail(&format!("unknown flag {arg} (flags: {})", flags.join(" ")));
+        };
+        let value = args
+            .next()
+            .unwrap_or_else(|| fail(&format!("{arg} requires {}", FLAGS[i].1)));
+        values[i] = Some(value);
+    }
+    (values, positional)
+}
+
+/// Parses the value of an integer flag, exiting 2 if it is not one.
+fn integer(flag: &str, value: Option<String>) -> Option<u64> {
+    value.map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| fail(&format!("{flag} requires an integer, got {v}")))
+    })
+}
+
+fn section(id: &str) -> Option<Render> {
+    SECTIONS
+        .iter()
+        .find(|(s, _)| *s == id)
+        .map(|&(_, render)| render)
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Strip `--trace-out PATH` before the OUT_DIR heuristic looks at the
-    // first positional argument.
-    let mut trace_out: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--trace-out") {
-        if i + 1 >= args.len() {
-            eprintln!("--trace-out requires a path");
-            std::process::exit(2);
-        }
-        trace_out = Some(args.remove(i + 1));
-        args.remove(i);
-    }
-    let mut perfetto_out: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--perfetto-out") {
-        if i + 1 >= args.len() {
-            eprintln!("--perfetto-out requires a path");
-            std::process::exit(2);
-        }
-        perfetto_out = Some(args.remove(i + 1));
-        args.remove(i);
-    }
-    let mut perfetto_chaos: Option<u64> = None;
-    if let Some(i) = args.iter().position(|a| a == "--perfetto-chaos") {
-        if i + 1 >= args.len() {
-            eprintln!("--perfetto-chaos requires a seed");
-            std::process::exit(2);
-        }
-        let seed = args.remove(i + 1);
-        args.remove(i);
-        match seed.parse() {
-            Ok(s) => perfetto_chaos = Some(s),
-            Err(_) => {
-                eprintln!("--perfetto-chaos requires an integer seed, got {seed}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let mut at_seed: u64 = 304;
-    if let Some(i) = args.iter().position(|a| a == "--at-seed") {
-        if i + 1 >= args.len() {
-            eprintln!("--at-seed requires a seed");
-            std::process::exit(2);
-        }
-        let seed = args.remove(i + 1);
-        args.remove(i);
-        match seed.parse() {
-            Ok(s) => at_seed = s,
-            Err(_) => {
-                eprintln!("--at-seed requires an integer seed, got {seed}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--at") {
-        if i + 1 >= args.len() {
-            eprintln!("--at requires a telemetry sequence number");
-            std::process::exit(2);
-        }
-        let seq = args.remove(i + 1);
-        args.remove(i);
-        let seq: u64 = match seq.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("--at requires an integer sequence number, got {seq}");
-                std::process::exit(2);
-            }
-        };
+    let ([trace_out, perfetto_out, perfetto_chaos, at, at_seed], args) =
+        parse(std::env::args().skip(1));
+    let perfetto_chaos = integer("--perfetto-chaos", perfetto_chaos);
+    let at = integer("--at", at);
+    let at_seed = integer("--at-seed", at_seed).unwrap_or(304);
+
+    // The first positional argument is OUT_DIR unless it names a section.
+    let (out, wanted) = match args.split_first() {
+        Some((first, rest)) if first != "all" && section(first).is_none() => (first.clone(), rest),
+        _ => ("results".to_string(), &args[..]),
+    };
+    let renders: Vec<Render> = if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
+        SECTIONS.iter().map(|&(_, render)| render).collect()
+    } else {
+        wanted
+            .iter()
+            .map(|w| {
+                section(w).unwrap_or_else(|| {
+                    let ids: Vec<&str> = SECTIONS.iter().map(|&(id, _)| id).collect();
+                    fail(&format!(
+                        "unknown section: {w} (sections: {})",
+                        ids.join(" ")
+                    ))
+                })
+            })
+            .collect()
+    };
+
+    if let Some(seq) = at {
         let cfg = ChaosConfig {
             seed: at_seed,
             lease: None,
@@ -126,10 +129,7 @@ fn main() {
             }
         }
     }
-    let (out, wanted): (String, Vec<String>) = match args.split_first() {
-        Some((first, rest)) if !is_section(first) => (first.clone(), rest.to_vec()),
-        _ => ("results".to_string(), args),
-    };
+
     let mut report = Report::new(&out);
     if let Some(path) = &trace_out {
         report.set_trace_out(path);
@@ -140,42 +140,8 @@ fn main() {
     if let Some(seed) = perfetto_chaos {
         report.set_perfetto_chaos(seed);
     }
-    let sections: Vec<Section> = if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        report.all()
-    } else {
-        wanted
-            .iter()
-            .map(|w| match w.as_str() {
-                "fig1" => report.fig1(),
-                "fig2" => report.fig2(),
-                "fig3" => report.fig3(),
-                "fig4" => report.fig4(),
-                "table1" => report.table1(),
-                "fig5" => report.fig5(),
-                "table2" => report.table2(),
-                "fig6" => report.fig6(),
-                "fig7" => report.fig7(),
-                "table3" => report.table3(),
-                "fig8" => report.fig8(),
-                "fig9" => report.fig9(),
-                "ablation-priority" => report.ablation_priority(),
-                "ablation-concurrency" => report.ablation_concurrency(),
-                "ablation-replicas" => report.ablation_replicas(),
-                "ablation-eviction" => report.ablation_eviction(),
-                "ablation-heartbeat" => report.ablation_heartbeat(),
-                "ablation-jitter" => report.ablation_jitter(),
-                "extension-benefit" => report.extension_benefit_aware(),
-                "extension-iterative" => report.extension_iterative(),
-                "extension-caching" => report.extension_caching(),
-                "telemetry" => report.telemetry(),
-                other => {
-                    eprintln!("unknown section: {other}");
-                    std::process::exit(2);
-                }
-            })
-            .collect()
-    };
-    for s in sections {
+    for render in renders {
+        let s = render(&mut report);
         println!("==================== {} ====================", s.id);
         println!("{}\n", s.text);
     }

@@ -1,9 +1,12 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
-//! Each `fig*`/`table*` function runs the corresponding experiment on the
+//! Each section function runs the corresponding experiment on the
 //! simulated cluster, returns a human-readable text block, and writes the
-//! figure's raw series as CSV under the output directory. The `report`
-//! binary drives them; `EXPERIMENTS.md` records paper-vs-measured values.
+//! figure's raw series, if it has one, as CSV under the output directory.
+//! [`SECTIONS`] lists every section by id; [`Report::all`] and the
+//! `report` binary read it. This is the only code that computes a paper
+//! number: `EXPERIMENTS.md` copies the sections' text, and a test holds it
+//! and the committed `results/*.csv` to a fresh run.
 
 use std::path::Path;
 
@@ -21,9 +24,11 @@ use ignem_simcore::rng::SimRng;
 use ignem_simcore::span::SpanForest;
 use ignem_simcore::stats::{Histogram, Samples};
 use ignem_simcore::time::{SimDuration, SimTime};
-use ignem_simcore::units::GB;
+use ignem_simcore::units::{GB, GIB, MIB};
 use ignem_storage::device::DeviceProfile;
-use ignem_workloads::google::{GoogleTrace, GoogleTraceConfig, UtilizationTimelines};
+use ignem_workloads::google::{
+    GoogleTrace, GoogleTraceConfig, MemorySufficiency, UtilizationTimelines,
+};
 use ignem_workloads::swim::{SizeBin, SwimConfig, SwimTrace};
 use ignem_workloads::tpcds::fig9_queries;
 
@@ -31,6 +36,39 @@ use crate::csv::{f, write_csv};
 
 /// The seed every report run uses; results are bit-reproducible.
 pub const REPORT_SEED: u64 = 20180615;
+
+/// Renders one report section.
+pub type Render = fn(&mut Report) -> Section;
+
+/// Every report section by id, in the order [`Report::all`] renders them:
+/// §II, §IV and its §IV-C5 ablation, the extended ablations and
+/// extensions, then the telemetry deep-dive. The `report` binary takes
+/// its section names and dispatch from this table.
+pub const SECTIONS: &[(&str, Render)] = &[
+    ("fig1", Report::fig1),
+    ("fig2", Report::fig2),
+    ("fig3", Report::fig3),
+    ("fig4", Report::fig4),
+    ("memory-sufficiency", Report::memory_sufficiency),
+    ("table1", Report::table1),
+    ("fig5", Report::fig5),
+    ("table2", Report::table2),
+    ("fig6", Report::fig6),
+    ("fig7", Report::fig7),
+    ("table3", Report::table3),
+    ("fig8", Report::fig8),
+    ("fig9", Report::fig9),
+    ("ablation-priority", Report::ablation_priority),
+    ("ablation-concurrency", Report::ablation_concurrency),
+    ("ablation-replicas", Report::ablation_replicas),
+    ("ablation-eviction", Report::ablation_eviction),
+    ("ablation-heartbeat", Report::ablation_heartbeat),
+    ("ablation-jitter", Report::ablation_jitter),
+    ("extension-benefit", Report::extension_benefit_aware),
+    ("extension-iterative", Report::extension_iterative),
+    ("extension-caching", Report::extension_caching),
+    ("telemetry", Report::telemetry),
+];
 
 /// A generated report section.
 #[derive(Debug, Clone)]
@@ -265,6 +303,33 @@ impl Report {
             peak40 * 100.0
         );
         Section { id: "fig4", text }
+    }
+
+    /// §II-C2: the worst-case memory a server needs for migrated inputs,
+    /// every concurrent task's block at once. Paper: 50 tasks × 256 MB =
+    /// 12.5 GB, in binary units, a small share of server RAM.
+    pub fn memory_sufficiency(&mut self) -> Section {
+        let m = MemorySufficiency::worst_case(50, 256 * MIB, 128 * GIB);
+        let gib = |bytes: u64| bytes as f64 / GIB as f64;
+        let text = format!(
+            "§II-C2 — worst-case memory for migrated inputs\n\
+             {} tasks x {} MiB blocks = {:.1} GiB per server (paper: 12.5 GB)\n\
+             {:.1}% of a {:.0} GiB server: {}",
+            m.tasks_per_server,
+            m.block_bytes / MIB,
+            gib(m.required_bytes),
+            m.ram_fraction() * 100.0,
+            gib(m.server_ram_bytes),
+            if m.is_sufficient() {
+                "sufficient"
+            } else {
+                "insufficient"
+            }
+        );
+        Section {
+            id: "memory-sufficiency",
+            text,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1193,32 +1258,9 @@ impl Report {
         }
     }
 
-    /// Runs every section in paper order, then the extended ablations.
+    /// Renders every section of [`SECTIONS`], in its order.
     pub fn all(&mut self) -> Vec<Section> {
-        vec![
-            self.fig1(),
-            self.fig2(),
-            self.fig3(),
-            self.fig4(),
-            self.table1(),
-            self.fig5(),
-            self.table2(),
-            self.fig6(),
-            self.fig7(),
-            self.table3(),
-            self.fig8(),
-            self.fig9(),
-            self.ablation_priority(),
-            self.ablation_concurrency(),
-            self.ablation_replicas(),
-            self.ablation_eviction(),
-            self.ablation_heartbeat(),
-            self.ablation_jitter(),
-            self.extension_benefit_aware(),
-            self.extension_iterative(),
-            self.extension_caching(),
-            self.telemetry(),
-        ]
+        SECTIONS.iter().map(|(_, render)| render(self)).collect()
     }
 }
 
@@ -1262,6 +1304,13 @@ mod tests {
         assert!(s3.text.contains("81%"));
         let s4 = r.fig4();
         assert!(s4.text.contains("3.1%"));
+    }
+
+    #[test]
+    fn memory_sufficiency_prints_the_papers_bound() {
+        let s = Report::new(tmp()).memory_sufficiency();
+        assert!(s.text.contains("= 12.5 GiB per server"), "{}", s.text);
+        assert!(s.text.contains("9.8% of a 128 GiB server: sufficient"));
     }
 
     #[test]

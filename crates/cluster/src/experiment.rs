@@ -1,9 +1,10 @@
 //! Pre-assembled experiments: the paper's workloads turned into workload
 //! plans and executed under each file-system configuration.
 //!
-//! Every table and figure in §IV is regenerated through these functions
-//! (the `ignem-bench` crate and the examples call them; `EXPERIMENTS.md`
-//! records the outputs).
+//! Every table and figure in §IV is regenerated through these functions.
+//! The `ignem-bench` crate's `Report` is the only code that turns their
+//! runs into paper numbers (`EXPERIMENTS.md` records its output), and
+//! `ignem-sim replay` runs [`run_replay`]'s datacenter world.
 
 use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
 use ignem_core::command::EvictionMode;
@@ -121,38 +122,14 @@ pub fn run_swim_with(
 }
 
 /// Runs the SWIM workload like [`run_swim`], but with a
-/// [`FlightRecorder`] of the given capacity installed; returns the
-/// metrics together with the recorder, so callers can feed
-/// [`FlightRecorder::events`] to the
-/// [explainer](crate::explain::TelemetryReport) or export
-/// [`FlightRecorder::to_jsonl`].
-pub fn run_swim_recorded(
-    cfg: &ClusterConfig,
-    mode: FsMode,
-    trace: &SwimTrace,
-    capacity: usize,
-) -> (RunMetrics, FlightRecorder) {
-    let files = swim_files(trace);
-    let migrate = mode == FsMode::Ignem;
-    let recorder = FlightRecorder::new(capacity);
-    let metrics = World::new(
-        cfg.clone(),
-        mode,
-        &files,
-        swim_plan_with(trace, migrate, EvictionMode::Explicit),
-        vec![],
-    )
-    .with_telemetry(Box::new(recorder.clone()))
-    .run();
-    (metrics, recorder)
-}
-
-/// Runs the SWIM workload like [`run_swim_recorded`], but with a sim-time
+/// [`FlightRecorder`] of the given capacity and a sim-time
 /// [`MetricsRegistry`](ignem_simcore::metrics::MetricsRegistry) of the
-/// given window attached as well; returns the metrics, the recorder, and
-/// the windowed metrics report. The registry is purely observational —
-/// the event stream and [`RunMetrics`] are bit-identical to an
-/// unobserved run.
+/// given window installed; returns the metrics, the recorder, and the
+/// windowed metrics report. Callers can feed [`FlightRecorder::events`]
+/// to the [explainer](crate::explain::TelemetryReport) or export
+/// [`FlightRecorder::to_jsonl`]. Both are purely observational: the
+/// [`RunMetrics`] are bit-identical to [`run_swim`]'s, and the registry
+/// leaves the recorded event stream unchanged.
 pub fn run_swim_observed(
     cfg: &ClusterConfig,
     mode: FsMode,

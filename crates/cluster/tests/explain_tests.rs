@@ -2,7 +2,7 @@
 //! recorder's determinism guarantees.
 
 use ignem_cluster::chaos::workload;
-use ignem_cluster::experiment::run_swim_recorded;
+use ignem_cluster::experiment::run_swim_observed;
 use ignem_cluster::prelude::*;
 use ignem_netsim::NodeId;
 use ignem_simcore::rng::SimRng;
@@ -10,6 +10,10 @@ use ignem_simcore::telemetry::FlightRecorder;
 use ignem_simcore::time::{SimDuration, SimTime};
 use ignem_simcore::units::GB;
 use ignem_workloads::swim::{SwimConfig, SwimTrace};
+
+/// The metrics window of the observed SWIM runs; the registry it sizes
+/// does not change their event streams.
+const WINDOW: SimDuration = SimDuration::from_secs(10);
 
 fn small_trace() -> SwimTrace {
     let cfg = SwimConfig {
@@ -64,7 +68,7 @@ fn fault_free_reliable_run_has_no_rpc_lost_and_reconciles() {
     // and the verdict counts must reconcile exactly with the metrics.
     let cfg = ClusterConfig::default();
     let trace = small_trace();
-    let (metrics, recorder) = run_swim_recorded(&cfg, FsMode::Ignem, &trace, 1 << 20);
+    let (metrics, recorder, _) = run_swim_observed(&cfg, FsMode::Ignem, &trace, 1 << 20, WINDOW);
     assert_eq!(recorder.dropped(), 0, "flight recorder truncated");
     let report = TelemetryReport::from_events(&recorder.events());
     report.reconcile(&metrics).expect("verdicts must reconcile");
@@ -87,7 +91,7 @@ fn seeded_runs_export_bit_identical_jsonl() {
     let cfg = ClusterConfig::default();
     let run = || {
         let trace = small_trace();
-        let (_, recorder) = run_swim_recorded(&cfg, FsMode::Ignem, &trace, 1 << 20);
+        let (_, recorder, _) = run_swim_observed(&cfg, FsMode::Ignem, &trace, 1 << 20, WINDOW);
         recorder.to_jsonl()
     };
     let first = run();

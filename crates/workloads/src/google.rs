@@ -231,8 +231,10 @@ pub struct MemorySufficiency {
 }
 
 impl MemorySufficiency {
-    /// Computes the worst-case bound. The paper's numbers: 50 tasks ×
-    /// 256 MB = 12.5 GB against hundreds of GB of server RAM.
+    /// Computes the worst-case bound; both sizes are in bytes. The paper's
+    /// numbers are binary units: 50 tasks × 256 MiB = 12.5 GiB, against
+    /// hundreds of GiB of server RAM. Decimal units (`MB`, `GB`) give
+    /// 12.8 GB instead.
     pub fn worst_case(tasks_per_server: u64, block_bytes: u64, server_ram_bytes: u64) -> Self {
         MemorySufficiency {
             tasks_per_server,

@@ -13,20 +13,40 @@ fn ignem_sim(args: &[&str]) -> Output {
 
 #[test]
 fn bad_number_is_rejected() {
-    let out = ignem_sim(&["swim", "--jobs", "abc"]);
+    let out = ignem_sim(&["replay", "--nodes", "abc"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--jobs"), "{stderr}");
+    assert!(stderr.contains("--nodes"), "{stderr}");
     assert!(out.stdout.is_empty(), "no experiment may run");
 }
 
 #[test]
 fn unknown_flag_is_rejected() {
-    let out = ignem_sim(&["swim", "--job", "5"]);
+    let out = ignem_sim(&["replay", "--node", "5"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag --job"), "{stderr}");
+    assert!(stderr.contains("unknown flag --node"), "{stderr}");
     assert!(out.stdout.is_empty(), "no experiment may run");
+}
+
+#[test]
+fn removed_command_points_at_replay() {
+    let out = ignem_sim(&["swim", "--jobs", "5"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command: swim"), "{stderr}");
+    assert!(stderr.contains("replay"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no experiment may run");
+}
+
+#[test]
+fn help_prints_the_usage_line() {
+    for args in [&["--help"][..], &["replay", "--help"]] {
+        let out = ignem_sim(args);
+        assert_eq!(out.status.code(), Some(0));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: ignem-sim replay "), "{stdout}");
+    }
 }
 
 #[test]

@@ -1,8 +1,12 @@
 //! Smoke tests for the report harness: sections render, CSVs land on disk,
-//! and repeated generation is byte-identical (the reproducibility promise
-//! EXPERIMENTS.md makes).
+//! repeated generation is byte-identical (the reproducibility promise
+//! EXPERIMENTS.md makes), and the committed `results/*.csv` and
+//! EXPERIMENTS.md's measured cells match a fresh run.
 
-use ignem_repro::bench::{Report, REPORT_SEED};
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
+
+use ignem_repro::bench::{Report, REPORT_SEED, SECTIONS};
 use ignem_repro::cluster::chaos::fingerprint;
 use ignem_repro::cluster::config::FsMode;
 use ignem_repro::cluster::experiment::{
@@ -323,5 +327,172 @@ fn report_ablation_runs_are_pinned() {
         got, REPORT_ABLATION_GOLDEN,
         "report ablation runs moved: {:#018x?}",
         got
+    );
+}
+
+/// Whether `name` is one of the telemetry section's run artifacts, which
+/// `.gitignore` keeps out of the committed `results/`.
+fn is_run_artifact(name: &str) -> bool {
+    name.starts_with("metrics_windows.")
+        || (name.starts_with("telemetry_") && name.ends_with(".csv"))
+}
+
+/// The contents of every `.csv` file in `dir` but the run artifacts, by
+/// file name.
+fn paper_csvs(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?.to_string();
+            (name.ends_with(".csv") && !is_run_artifact(&name))
+                .then(|| (name, std::fs::read(&path).expect("read csv")))
+        })
+        .collect()
+}
+
+/// The numbers in `text`: its runs of ASCII digits and inner `.`s. Signs
+/// and units are not part of a number, so `−16.9%` and `-16.9%` both hold
+/// `16.9`, and a sentence's closing `.` is dropped.
+fn numbers(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_ascii_digit() && c != '.')
+        .map(|s| s.trim_matches('.'))
+        .filter(|s| !s.is_empty())
+}
+
+/// A table row of EXPERIMENTS.md: its line number, the report section it
+/// names and its measured cells.
+struct MeasuredRow<'a> {
+    line: usize,
+    section: &'static str,
+    cells: Vec<&'a str>,
+}
+
+/// Every table row of `md`. Each row must name exactly one report section
+/// by its id in backticks. Its measured cells are those under a
+/// `Measured` or `Result` header; in a table with neither (the Fig. 8
+/// series), every cell but the one that names the section.
+fn measured_rows(md: &str) -> Vec<MeasuredRow<'_>> {
+    let mut rows = Vec::new();
+    let mut header: Option<Vec<&str>> = None;
+    for (i, line) in md.lines().enumerate() {
+        if !line.starts_with('|') {
+            header = None;
+            continue;
+        }
+        let cells: Vec<&str> = line
+            .trim()
+            .trim_matches('|')
+            .split('|')
+            .map(str::trim)
+            .collect();
+        let Some(head) = &header else {
+            header = Some(cells);
+            continue;
+        };
+        if line.starts_with("|---") {
+            continue;
+        }
+        let named: Vec<(usize, &'static str)> = cells
+            .iter()
+            .enumerate()
+            .flat_map(|(k, cell)| {
+                SECTIONS
+                    .iter()
+                    .filter(move |(id, _)| cell.contains(&format!("`{id}`")))
+                    .map(move |&(id, _)| (k, id))
+            })
+            .collect();
+        let [(at, section)] = named[..] else {
+            panic!(
+                "EXPERIMENTS.md:{}: a table row must name one report section in backticks, \
+                 found {named:?}: {line}",
+                i + 1
+            );
+        };
+        let measured_header = |h: &&str| h.starts_with("Measured") || *h == "Result";
+        let cells = if head.iter().any(measured_header) {
+            cells
+                .iter()
+                .zip(head)
+                .filter(|(_, h)| measured_header(h))
+                .map(|(c, _)| *c)
+                .collect()
+        } else {
+            cells
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| k != at)
+                .map(|(_, c)| *c)
+                .collect()
+        };
+        rows.push(MeasuredRow {
+            line: i + 1,
+            section,
+            cells,
+        });
+    }
+    rows
+}
+
+/// Runs every section once and holds the committed paper numbers to it:
+/// each committed `results/*.csv` must equal the fresh run's file byte for
+/// byte (and the run may write no CSV that is not committed), and every
+/// number in an EXPERIMENTS.md measured cell must appear in the text of
+/// the section its row names.
+#[test]
+fn results_and_experiments_match_a_fresh_report() {
+    let dir = out_dir("all");
+    let _ = std::fs::remove_dir_all(&dir);
+    let sections = Report::new(&dir).all();
+    let ids: Vec<&str> = sections.iter().map(|s| s.id).collect();
+    let table: Vec<&str> = SECTIONS.iter().map(|&(id, _)| id).collect();
+    assert_eq!(ids, table, "a section's id differs from its SECTIONS entry");
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let fresh = paper_csvs(&dir);
+    let committed = paper_csvs(&root.join("results"));
+    assert_eq!(
+        fresh.keys().collect::<Vec<_>>(),
+        committed.keys().collect::<Vec<_>>(),
+        "the report's CSV files differ from the committed results/"
+    );
+    let stale: Vec<&String> = fresh
+        .iter()
+        .filter(|(name, bytes)| committed[*name] != **bytes)
+        .map(|(name, _)| name)
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "committed results/ differ from a fresh report run: {stale:?}"
+    );
+
+    let md = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("read EXPERIMENTS.md");
+    let rows = measured_rows(&md);
+    assert!(!rows.is_empty(), "EXPERIMENTS.md has no measured rows");
+    let texts: BTreeMap<&str, &str> = sections.iter().map(|s| (s.id, s.text.as_str())).collect();
+    let mut missing = Vec::new();
+    for row in &rows {
+        let printed: BTreeSet<&str> = numbers(texts[row.section]).collect();
+        let cited: Vec<&str> = row.cells.iter().flat_map(|c| numbers(c)).collect();
+        assert!(
+            !cited.is_empty(),
+            "EXPERIMENTS.md:{}: measured cells hold no number: {:?}",
+            row.line,
+            row.cells
+        );
+        for n in cited {
+            if !printed.contains(n) {
+                missing.push(format!(
+                    "EXPERIMENTS.md:{}: {n} is not in section `{}`",
+                    row.line, row.section
+                ));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "EXPERIMENTS.md cites numbers the report does not print:\n{}",
+        missing.join("\n")
     );
 }
