@@ -5,7 +5,10 @@
 //!        [--perfetto-chaos SEED] [--at SEQ] [--at-seed SEED] [SECTION...]
 //!
 //! SECTION: a section id from `ignem_bench::SECTIONS`, or all (default)
-//! OUT_DIR: where CSVs go (default: ./results)
+//! OUT_DIR: where CSVs go (default: ./results). A first argument in the
+//!          family of a section id (`fig10`, `table4`, `ablation-x`) is
+//!          taken for a mistyped section, not for OUT_DIR; write
+//!          `./fig10` for a directory of that name.
 //! --trace-out PATH: where the telemetry section writes the run's raw
 //!          event stream as JSONL
 //! --perfetto-out PATH: where the telemetry section writes span trees and
@@ -72,6 +75,20 @@ fn integer(flag: &str, value: Option<String>) -> Option<u64> {
     })
 }
 
+/// The family of a section id: the part before the first `-`, without
+/// trailing digits (`fig` for `fig10`, `ablation` for `ablation-replicas`).
+fn stem(name: &str) -> &str {
+    let head = name.split_once('-').map_or(name, |(head, _)| head);
+    head.trim_end_matches(|c: char| c.is_ascii_digit())
+}
+
+/// Whether an argument is meant as a section rather than as OUT_DIR:
+/// `all`, or a name in the family of some section id, so that a
+/// mistyped section is rejected instead of becoming the output directory.
+fn names_section(arg: &str) -> bool {
+    arg == "all" || SECTIONS.iter().any(|&(id, _)| stem(id) == stem(arg))
+}
+
 fn section(id: &str) -> Option<Render> {
     SECTIONS
         .iter()
@@ -86,9 +103,10 @@ fn main() {
     let at = integer("--at", at);
     let at_seed = integer("--at-seed", at_seed).unwrap_or(304);
 
-    // The first positional argument is OUT_DIR unless it names a section.
+    // The first positional argument is OUT_DIR unless it is meant as a
+    // section.
     let (out, wanted) = match args.split_first() {
-        Some((first, rest)) if first != "all" && section(first).is_none() => (first.clone(), rest),
+        Some((first, rest)) if !names_section(first) => (first.clone(), rest),
         _ => ("results".to_string(), &args[..]),
     };
     let renders: Vec<Render> = if wanted.is_empty() || wanted.iter().any(|w| w == "all") {

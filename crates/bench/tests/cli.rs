@@ -60,4 +60,12 @@ fn unknown_section_is_rejected() {
         &["out", "fig3", "fig10"],
         "unknown section: fig10",
     );
+    // A mistyped section given first is not taken for OUT_DIR.
+    rejected("typo", &["fig10"], "unknown section: fig10");
+    rejected("typo-table", &["table4"], "unknown section: table4");
+    rejected(
+        "typo-ablation",
+        &["ablation-replica", "fig3"],
+        "unknown section: ablation-replica",
+    );
 }

@@ -316,7 +316,8 @@ mod tests {
 
     #[test]
     fn paper_memory_sufficiency_numbers() {
-        // 50 tasks × 256 MB = 12.5 GB, "a small amount" vs 128 GB servers.
+        // 50 tasks × 256 MB = 12.8 GB in decimal units (the paper's 12.5
+        // is 50 × 256 MiB in GiB), "a small amount" vs 128 GB servers.
         let m = MemorySufficiency::worst_case(50, 256_000_000, 128_000_000_000);
         assert_eq!(m.required_bytes, 12_800_000_000);
         assert!((m.ram_fraction() - 0.1).abs() < 0.01);
