@@ -89,11 +89,9 @@ fn names_section(arg: &str) -> bool {
     arg == "all" || SECTIONS.iter().any(|&(id, _)| stem(id) == stem(arg))
 }
 
-fn section(id: &str) -> Option<Render> {
-    SECTIONS
-        .iter()
-        .find(|(s, _)| *s == id)
-        .map(|&(_, render)| render)
+/// The `SECTIONS` entry whose id is `id`.
+fn section(id: &str) -> Option<(&'static str, Render)> {
+    SECTIONS.iter().find(|&&(s, _)| s == id).copied()
 }
 
 fn main() {
@@ -109,8 +107,8 @@ fn main() {
         Some((first, rest)) if !names_section(first) => (first.clone(), rest),
         _ => ("results".to_string(), &args[..]),
     };
-    let renders: Vec<Render> = if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        SECTIONS.iter().map(|&(_, render)| render).collect()
+    let renders: Vec<(&str, Render)> = if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
+        SECTIONS.to_vec()
     } else {
         wanted
             .iter()
@@ -158,10 +156,10 @@ fn main() {
     if let Some(seed) = perfetto_chaos {
         report.set_perfetto_chaos(seed);
     }
-    for render in renders {
-        let s = render(&mut report);
-        println!("==================== {} ====================", s.id);
-        println!("{}\n", s.text);
+    for (id, render) in renders {
+        let text = render(&mut report);
+        println!("==================== {id} ====================");
+        println!("{text}\n");
     }
     println!("CSV series written to {out}/");
 }

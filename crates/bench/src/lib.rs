@@ -15,5 +15,5 @@ pub mod csv;
 pub mod report;
 pub mod timing;
 
-pub use report::{Render, Report, Section, REPORT_SEED, SECTIONS};
+pub use report::{Render, Report, REPORT_SEED, SECTIONS};
 pub use timing::wall_clock;

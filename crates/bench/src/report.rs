@@ -26,9 +26,7 @@ use ignem_simcore::stats::{Histogram, Samples};
 use ignem_simcore::time::{SimDuration, SimTime};
 use ignem_simcore::units::{GB, GIB, MIB};
 use ignem_storage::device::DeviceProfile;
-use ignem_workloads::google::{
-    GoogleTrace, GoogleTraceConfig, MemorySufficiency, UtilizationTimelines,
-};
+use ignem_workloads::google::{GoogleTrace, MemorySufficiency, UtilizationTimelines};
 use ignem_workloads::swim::{SizeBin, SwimConfig, SwimTrace};
 use ignem_workloads::tpcds::fig9_queries;
 
@@ -37,8 +35,8 @@ use crate::csv::{f, write_csv};
 /// The seed every report run uses; results are bit-reproducible.
 pub const REPORT_SEED: u64 = 20180615;
 
-/// Renders one report section.
-pub type Render = fn(&mut Report) -> Section;
+/// Renders one report section's text.
+pub type Render = fn(&mut Report) -> String;
 
 /// Every report section by id, in the order [`Report::all`] renders them:
 /// §II, §IV and its §IV-C5 ablation, the extended ablations and
@@ -69,15 +67,6 @@ pub const SECTIONS: &[(&str, Render)] = &[
     ("extension-caching", Report::extension_caching),
     ("telemetry", Report::telemetry),
 ];
-
-/// A generated report section.
-#[derive(Debug, Clone)]
-pub struct Section {
-    /// Experiment id (e.g. "table1").
-    pub id: &'static str,
-    /// Rendered text.
-    pub text: String,
-}
 
 /// Shared context: configuration, the SWIM trace and the (lazily run)
 /// SWIM results reused across Tables I–II, Figs. 5–7 and the ablation.
@@ -162,7 +151,7 @@ impl Report {
 
     /// Fig. 1: histograms of 64 MB block-read times from HDD, SSD and RAM
     /// under concurrent mappers. Paper: RAM ≈160× HDD, ≈7× SSD.
-    pub fn fig1(&mut self) -> Section {
+    pub fn fig1(&mut self) -> String {
         let (hdd, ssd, ram) = self.read_micro_runs();
         let mean = |m: &RunMetrics| m.mean_block_read_secs();
         let (mh, ms, mr) = (mean(&hdd), mean(&ssd), mean(&ram));
@@ -191,20 +180,19 @@ impl Report {
             &rows,
         );
 
-        let text = format!(
+        format!(
             "Fig. 1 — 64MB block-read times under concurrent mappers\n\
              mean HDD {mh:.3}s   mean SSD {ms:.3}s   mean RAM {mr:.4}s\n\
              RAM is {:.0}x faster than HDD (paper: ~160x)\n\
              RAM is {:.1}x faster than SSD (paper: ~7x)",
             mh / mr,
             ms / mr
-        );
-        Section { id: "fig1", text }
+        )
     }
 
     /// Fig. 2: CDF of mapper task runtimes on the three media.
     /// Paper: RAM average ≈23× smaller than HDD.
-    pub fn fig2(&mut self) -> Section {
+    pub fn fig2(&mut self) -> String {
         let (hdd, ssd, ram) = self.read_micro_runs();
         let mut rows = Vec::new();
         let mut means = Vec::new();
@@ -223,7 +211,7 @@ impl Report {
         );
         let mh = means[0].1;
         let mr = means[2].1;
-        let text = format!(
+        format!(
             "Fig. 2 — mapper task runtime CDF\n\
              mean task: HDD {:.2}s  SSD {:.2}s  RAM {:.2}s\n\
              RAM tasks are {:.0}x faster than HDD (paper: ~23x)",
@@ -231,8 +219,7 @@ impl Report {
             means[1].1,
             means[2].1,
             mh / mr
-        );
-        Section { id: "fig2", text }
+        )
     }
 
     fn read_micro_runs(&self) -> (RunMetrics, RunMetrics, RunMetrics) {
@@ -248,9 +235,8 @@ impl Report {
 
     /// Fig. 3: lead-time sufficiency in the (synthetic) Google trace.
     /// Paper: 81% of jobs have lead-time ≥ read-time.
-    pub fn fig3(&mut self) -> Section {
-        let trace =
-            GoogleTrace::generate(&GoogleTraceConfig::default(), &mut SimRng::new(REPORT_SEED));
+    pub fn fig3(&mut self) -> String {
+        let trace = GoogleTrace::generate(&mut SimRng::new(REPORT_SEED));
         let sufficiency = trace.lead_time_sufficiency();
         let (mean_lead, median_lead) = trace.lead_time_stats();
         let mut ratios = trace.read_to_lead_ratios();
@@ -265,20 +251,18 @@ impl Report {
             &["read_over_lead", "cdf"],
             &rows,
         );
-        let text = format!(
+        format!(
             "Fig. 3 — lead-time vs read-time (Google-trace statistics)\n\
              queueing time: mean {mean_lead:.1}s median {median_lead:.1}s (paper: 8.8 / 1.8)\n\
              jobs with lead-time >= read-time: {:.1}% (paper: 81%)",
             sufficiency * 100.0
-        );
-        Section { id: "fig3", text }
+        )
     }
 
     /// Fig. 4: per-server disk utilisation over 24 h.
     /// Paper: 40-server mean ≤5% at all times; 3.1% overall daily mean.
-    pub fn fig4(&mut self) -> Section {
-        let cfg = GoogleTraceConfig::default();
-        let u = UtilizationTimelines::generate(&cfg, &mut SimRng::new(REPORT_SEED));
+    pub fn fig4(&mut self) -> String {
+        let u = UtilizationTimelines::generate(&mut SimRng::new(REPORT_SEED));
         let group = u.group_mean_timeline(40);
         let mut rows = Vec::new();
         for (w, &g) in group.iter().enumerate() {
@@ -294,24 +278,23 @@ impl Report {
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
         write_csv(&self.out, "fig4_disk_utilization", &header_refs, &rows);
         let peak40 = group.iter().cloned().fold(0.0, f64::max);
-        let text = format!(
+        format!(
             "Fig. 4 — disk utilisation over 24h ({} servers)\n\
              overall mean {:.1}% (paper: 3.1%)\n\
              peak of the 40-server mean {:.1}% (paper: <=5%)",
-            cfg.servers,
+            u.timelines.len(),
             u.overall_mean() * 100.0,
             peak40 * 100.0
-        );
-        Section { id: "fig4", text }
+        )
     }
 
     /// §II-C2: the worst-case memory a server needs for migrated inputs,
     /// every concurrent task's block at once. Paper: 50 tasks × 256 MB =
     /// 12.5 GB, in binary units, a small share of server RAM.
-    pub fn memory_sufficiency(&mut self) -> Section {
+    pub fn memory_sufficiency(&mut self) -> String {
         let m = MemorySufficiency::worst_case(50, 256 * MIB, 128 * GIB);
         let gib = |bytes: u64| bytes as f64 / GIB as f64;
-        let text = format!(
+        format!(
             "§II-C2 — worst-case memory for migrated inputs\n\
              {} tasks x {} MiB blocks = {:.1} GiB per server (paper: 12.5 GB)\n\
              {:.1}% of a {:.0} GiB server: {}",
@@ -325,11 +308,7 @@ impl Report {
             } else {
                 "insufficient"
             }
-        );
-        Section {
-            id: "memory-sufficiency",
-            text,
-        }
+        )
     }
 
     // ------------------------------------------------------------------
@@ -338,7 +317,7 @@ impl Report {
 
     /// Table I: mean SWIM job duration per configuration.
     /// Paper: 14.4 / 12.7 (12%) / 11.4 (21%).
-    pub fn table1(&mut self) -> Section {
+    pub fn table1(&mut self) -> String {
         let out = self.out.clone();
         let b = self.swim();
         let (h, i, r) = (
@@ -358,20 +337,19 @@ impl Report {
                 vec!["HDFS-Inputs-in-RAM".into(), f(r, 2), f(sr, 1)],
             ],
         );
-        let text = format!(
+        format!(
             "Table I — SWIM mean job duration\n\
              HDFS               {h:.2}s\n\
              Ignem              {i:.2}s  (speedup {si:.1}%, paper 12%)\n\
              HDFS-Inputs-in-RAM {r:.2}s  (speedup {sr:.1}%, paper 21%)\n\
              Ignem realises {:.0}% of the upper bound (paper ~60%)",
             si / sr * 100.0
-        );
-        Section { id: "table1", text }
+        )
     }
 
     /// Fig. 5: mean job-duration reduction by input-size bin.
     /// Paper (Ignem): 8.8% / 7.7% / 25%; RAM large bin ≈60%.
-    pub fn fig5(&mut self) -> Section {
+    pub fn fig5(&mut self) -> String {
         let out = self.out.clone();
         let b = self.swim();
         let bins = |m: &RunMetrics| -> [f64; 3] {
@@ -420,7 +398,7 @@ impl Report {
             ],
             &rows,
         );
-        let text = format!(
+        format!(
             "Fig. 5 — mean job-duration reduction by input-size bin\n\
              bin        Ignem    RAM      (paper Ignem: 8.8% / 7.7% / 25%)\n\
              <=64MB     {:>5.1}%  {:>5.1}%\n\
@@ -432,13 +410,12 @@ impl Report {
             (1.0 - br[1] / bh[1]) * 100.0,
             (1.0 - bi[2] / bh[2]) * 100.0,
             (1.0 - br[2] / bh[2]) * 100.0,
-        );
-        Section { id: "fig5", text }
+        )
     }
 
     /// Table II: mean mapper task duration. Paper: 6.44 / 4.03 (38%) /
     /// 0.28 (96%).
-    pub fn table2(&mut self) -> Section {
+    pub fn table2(&mut self) -> String {
         let out = self.out.clone();
         let b = self.swim();
         let (h, i, r) = (
@@ -460,20 +437,19 @@ impl Report {
                 ],
             ],
         );
-        let text = format!(
+        format!(
             "Table II — SWIM mean mapper duration\n\
              HDFS               {h:.2}s   (paper 6.44s)\n\
              Ignem              {i:.2}s   ({:.0}% faster; paper 4.03s, 38%)\n\
              HDFS-Inputs-in-RAM {r:.2}s   ({:.0}% faster; paper 0.28s, 96%)",
             (1.0 - i / h) * 100.0,
             (1.0 - r / h) * 100.0
-        );
-        Section { id: "table2", text }
+        )
     }
 
     /// Fig. 6: block-read duration CDFs under HDFS vs Ignem.
     /// Paper: ~40% mean reduction; ~60% of blocks served from memory.
-    pub fn fig6(&mut self) -> Section {
+    pub fn fig6(&mut self) -> String {
         let out = self.out.clone();
         let b = self.swim();
         let mut rows = Vec::new();
@@ -490,7 +466,7 @@ impl Report {
             &rows,
         );
         let reduction = 1.0 - b.ignem.mean_block_read_secs() / b.hdfs.mean_block_read_secs();
-        let text = format!(
+        format!(
             "Fig. 6 — SWIM block-read durations\n\
              mean read: HDFS {:.2}s -> Ignem {:.2}s ({:.0}% reduction; paper ~40%)\n\
              blocks served from memory under Ignem: {:.0}% (paper ~60%)",
@@ -498,13 +474,12 @@ impl Report {
             b.ignem.mean_block_read_secs(),
             reduction * 100.0,
             b.ignem.memory_read_fraction() * 100.0
-        );
-        Section { id: "fig6", text }
+        )
     }
 
     /// Fig. 7: per-server migrated-memory footprint, Ignem vs the
     /// hypothetical instantaneous scheme. Paper: Ignem ≈2.6× lower.
-    pub fn fig7(&mut self) -> Section {
+    pub fn fig7(&mut self) -> String {
         let out = self.out.clone();
         let b = self.swim();
         let end = b.ignem.makespan;
@@ -541,7 +516,7 @@ impl Report {
             &["scheme", "lo_gb", "hi_gb", "freq"],
             &rows,
         );
-        let text = format!(
+        format!(
             "Fig. 7 — per-server migrated-memory footprint (nonzero samples)\n\
              Ignem mean {:.2} GB   hypothetical-instantaneous mean {:.2} GB\n\
              Ignem uses {:.1}x less memory (paper: 2.6x) while delivering\n\
@@ -550,14 +525,13 @@ impl Report {
             hypo_mean / 1e9,
             hypo_mean / ignem_mean.max(1.0),
             b.ignem.speedup_vs(&b.hdfs) / b.ram.speedup_vs(&b.hdfs) * 100.0
-        );
-        Section { id: "fig7", text }
+        )
     }
 
     /// §IV-C5 ablation: smallest-job-first vs FIFO migration queues.
     /// Paper: disabling prioritization costs ~2 points of speedup (~15% of
     /// the benefit).
-    pub fn ablation_priority(&mut self) -> Section {
+    pub fn ablation_priority(&mut self) -> String {
         let out = self.out.clone();
         let b = self.swim();
         let sjf = b.ignem.speedup_vs(&b.hdfs) * 100.0;
@@ -579,17 +553,13 @@ impl Report {
                 ],
             ],
         );
-        let text = format!(
+        format!(
             "Ablation (§IV-C5) — migration-queue policy\n\
              smallest-job-first speedup {sjf:.1}%   FIFO speedup {fifo:.1}%\n\
              prioritization contributes {:.1} points ({:.0}% of the benefit; paper ~15%)",
             sjf - fifo,
             (sjf - fifo) / sjf.max(1e-9) * 100.0
-        );
-        Section {
-            id: "ablation-priority",
-            text,
-        }
+        )
     }
 
     // ------------------------------------------------------------------
@@ -597,7 +567,7 @@ impl Report {
     // ------------------------------------------------------------------
 
     /// Table III: the 40 GB sort. Paper: 147 / 114 (22%) / 75 (49%).
-    pub fn table3(&mut self) -> Section {
+    pub fn table3(&mut self) -> String {
         let h = run_sort(&self.cfg, FsMode::Hdfs, 40 * GB);
         let i = run_sort(&self.cfg, FsMode::Ignem, 40 * GB);
         let r = run_sort(&self.cfg, FsMode::HdfsInputsInRam, 40 * GB);
@@ -620,22 +590,21 @@ impl Report {
                 ],
             ],
         );
-        let text = format!(
+        format!(
             "Table III — sort (40 GB)\n\
              HDFS               {dh:.0}s\n\
              Ignem              {di:.0}s  ({:.0}% faster; paper 22%)\n\
              HDFS-Inputs-in-RAM {dr:.0}s  ({:.0}% faster; paper 49%)",
             (1.0 - di / dh) * 100.0,
             (1.0 - dr / dh) * 100.0
-        );
-        Section { id: "table3", text }
+        )
     }
 
     /// Fig. 8: wordcount input-size sweep with artificial lead-time. Run on
     /// the **contended** HDD operating point (see `DeviceProfile::
     /// hdd_contended`), where the paper's "adding delay speeds the job up"
     /// effect lives.
-    pub fn fig8(&mut self) -> Section {
+    pub fn fig8(&mut self) -> String {
         let mut cfg = self.cfg.clone();
         cfg.disk = DeviceProfile::hdd_contended();
         let mut rows = Vec::new();
@@ -662,12 +631,12 @@ impl Report {
             "paper shape: Ignem tracks RAM until ~2GB; Ignem+10s loses at 1GB,\n\
              crosses HDFS by 2GB and beats plain Ignem at 4GB",
         );
-        Section { id: "fig8", text }
+        text
     }
 
     /// Fig. 9: Hive/TPC-DS query durations (a) and input sizes (b).
     /// Paper: up to 34% (q3), 20% average, muted for q82/q25/q29.
-    pub fn fig9(&mut self) -> Section {
+    pub fn fig9(&mut self) -> String {
         let queries = fig9_queries();
         let h = run_hive(&self.cfg, FsMode::Hdfs, &queries);
         let i = run_hive(&self.cfg, FsMode::Ignem, &queries);
@@ -708,7 +677,7 @@ impl Report {
             best.0,
             best.1
         ));
-        Section { id: "fig9", text }
+        text
     }
 
     // ------------------------------------------------------------------
@@ -718,7 +687,7 @@ impl Report {
     /// Ablation: migration concurrency per slave. The paper migrates one
     /// block at a time to preserve disk throughput; this sweep checks how
     /// much that choice matters on this substrate.
-    pub fn ablation_concurrency(&mut self) -> Section {
+    pub fn ablation_concurrency(&mut self) -> String {
         use ignem_cluster::experiment::run_swim_with;
         use ignem_core::command::EvictionMode;
         let hdfs = run_swim(&self.cfg, FsMode::Hdfs, &self.trace, None);
@@ -752,16 +721,13 @@ impl Report {
             ],
             &rows,
         );
-        Section {
-            id: "ablation-concurrency",
-            text,
-        }
+        text
     }
 
     /// Ablation: replicas migrated per block. The paper migrates a single
     /// random replica (§III-A2); extra copies burn disk bandwidth and
     /// memory for little gain because remote memory reads are cheap.
-    pub fn ablation_replicas(&mut self) -> Section {
+    pub fn ablation_replicas(&mut self) -> String {
         use ignem_cluster::experiment::run_swim_with;
         use ignem_core::command::EvictionMode;
         let hdfs = run_swim(&self.cfg, FsMode::Hdfs, &self.trace, None);
@@ -791,15 +757,12 @@ impl Report {
             &rows,
         );
         text.push_str("extra replicas multiply migration IO without matching gains");
-        Section {
-            id: "ablation-replicas",
-            text,
-        }
+        text
     }
 
     /// Ablation: explicit vs implicit eviction (§III-A4's opt-in mode).
     /// Implicit eviction frees memory as soon as the job reads a block.
-    pub fn ablation_eviction(&mut self) -> Section {
+    pub fn ablation_eviction(&mut self) -> String {
         use ignem_cluster::experiment::run_swim_with;
         use ignem_core::command::EvictionMode;
         let hdfs = run_swim(&self.cfg, FsMode::Hdfs, &self.trace, None);
@@ -832,15 +795,12 @@ impl Report {
         text.push_str(
             "implicit eviction trades a sliver of re-read safety for a smaller footprint",
         );
-        Section {
-            id: "ablation-eviction",
-            text,
-        }
+        text
     }
 
     /// Ablation: heartbeat interval — one of the paper's §II-C lead-time
     /// sources. Longer heartbeats give Ignem more runway but slow everyone.
-    pub fn ablation_heartbeat(&mut self) -> Section {
+    pub fn ablation_heartbeat(&mut self) -> String {
         let mut rows = Vec::new();
         let mut text = String::from("Ablation — scheduler heartbeat interval (lead-time source)\n");
         for secs in [1u64, 3, 6] {
@@ -875,16 +835,13 @@ impl Report {
             ],
             &rows,
         );
-        Section {
-            id: "ablation-heartbeat",
-            text,
-        }
+        text
     }
 
     /// Robustness check: does Ignem's benefit survive heterogeneous task
     /// service times (stragglers)? The jitter multiplier is mean-one, so
     /// the workload's expected compute cost is identical across rows.
-    pub fn ablation_jitter(&mut self) -> Section {
+    pub fn ablation_jitter(&mut self) -> String {
         let mut rows = Vec::new();
         let mut text =
             String::from("Ablation — compute-time heterogeneity (mean-one log-normal jitter)\n");
@@ -913,17 +870,14 @@ impl Report {
             &rows,
         );
         text.push_str("Ignem's benefit is not an artifact of deterministic task times");
-        Section {
-            id: "ablation-jitter",
-            text,
-        }
+        text
     }
 
     /// Extension (§IV-E future work): the benefit-aware migration policy —
     /// "a migration scheme that can infer the Ignem speed-up curve … can
     /// prioritize jobs which will benefit more" — swept over its sweet-spot
     /// parameter against the paper's smallest-job-first default.
-    pub fn extension_benefit_aware(&mut self) -> Section {
+    pub fn extension_benefit_aware(&mut self) -> String {
         let hdfs = run_swim(&self.cfg, FsMode::Hdfs, &self.trace, None);
         let sjf = run_swim(&self.cfg, FsMode::Ignem, &self.trace, None);
         let mut rows = vec![vec![
@@ -963,17 +917,14 @@ impl Report {
             &["policy", "sweet_spot_gb", "mean_job_secs", "speedup_pct"],
             &rows,
         );
-        Section {
-            id: "extension-benefit",
-            text,
-        }
+        text
     }
 
     /// Extension (paper §V related work): Ignem vs a PACMan-style LRU read
     /// cache. Caching only helps *repeat* reads; the paper's point is that
     /// 30% of production tasks read singly-accessed data that caching can
     /// never serve — but proactive migration can.
-    pub fn extension_caching(&mut self) -> Section {
+    pub fn extension_caching(&mut self) -> String {
         use ignem_cluster::experiment::run_rereads;
         let sets = 8;
         let bytes = 2 * GB;
@@ -993,7 +944,7 @@ impl Report {
             &["config", "first_read_mean_s", "repeat_read_mean_s"],
             &rows,
         );
-        let text = format!(
+        format!(
             "Extension (§V) — proactive migration vs reactive caching\n\
              {sets} file sets of {} GB, each read twice (cold, then repeat)\n\
              config      first-read  repeat-read\n\
@@ -1003,18 +954,14 @@ impl Report {
              caching cannot touch the singly-read cold reads Ignem targets\n\
              (PACMan's own authors: 30% of production tasks read such data)",
             bytes / GB
-        );
-        Section {
-            id: "extension-caching",
-            text,
-        }
+        )
     }
 
     /// Extension (paper §I motivation): iterative ML jobs. Cold reads
     /// inflate the first iteration (15× for logistic regression, 2.5× for
     /// k-means on the paper's cited Spark numbers); Ignem flattens the
     /// first-iteration penalty by pre-warming the training set.
-    pub fn extension_iterative(&mut self) -> Section {
+    pub fn extension_iterative(&mut self) -> String {
         use ignem_cluster::experiment::run_iterative;
         use ignem_workloads::iterative::IterativeJob;
         let files = |p: &str| -> Vec<String> { (0..4).map(|i| format!("{p}/part-{i}")).collect() };
@@ -1059,10 +1006,7 @@ impl Report {
             "paper's cited Spark numbers: logreg ~15x, k-means ~2.5x inflation;\n\
              Ignem pulls the first iteration toward warm-iteration speed",
         );
-        Section {
-            id: "extension-iterative",
-            text,
-        }
+        text
     }
 
     /// Telemetry deep-dive (not a paper figure): replays the Table I
@@ -1075,7 +1019,7 @@ impl Report {
     /// JSONL stream is written there too; when a Perfetto path is set
     /// ([`Report::set_perfetto_out`]), the span trees and metric tracks
     /// go there as Chrome trace-event JSON.
-    pub fn telemetry(&mut self) -> Section {
+    pub fn telemetry(&mut self) -> String {
         let (metrics, recorder, mreport) = run_swim_observed(
             &self.cfg,
             FsMode::Ignem,
@@ -1229,7 +1173,7 @@ impl Report {
         } else {
             String::new()
         };
-        let text = format!(
+        format!(
             "Telemetry — migration-race explainer over the Table I SWIM/Ignem run\n\
              {} events recorded ({} dropped), {} block reads explained{overflow}\n\
              won race (memory): {}   lost race (disk): {}\n\
@@ -1251,16 +1195,16 @@ impl Report {
             path.jobs.len(),
             mreport.windows.len(),
             METRICS_WINDOW.as_secs_f64() as u64,
-        );
-        Section {
-            id: "telemetry",
-            text,
-        }
+        )
     }
 
-    /// Renders every section of [`SECTIONS`], in its order.
-    pub fn all(&mut self) -> Vec<Section> {
-        SECTIONS.iter().map(|(_, render)| render(self)).collect()
+    /// Renders every section of [`SECTIONS`], in its order, as `(id,
+    /// text)` pairs.
+    pub fn all(&mut self) -> Vec<(&'static str, String)> {
+        SECTIONS
+            .iter()
+            .map(|&(id, render)| (id, render(self)))
+            .collect()
     }
 }
 
@@ -1301,16 +1245,16 @@ mod tests {
     fn fig3_and_fig4_run() {
         let mut r = Report::new(tmp());
         let s3 = r.fig3();
-        assert!(s3.text.contains("81%"));
+        assert!(s3.contains("81%"));
         let s4 = r.fig4();
-        assert!(s4.text.contains("3.1%"));
+        assert!(s4.contains("3.1%"));
     }
 
     #[test]
     fn memory_sufficiency_prints_the_papers_bound() {
         let s = Report::new(tmp()).memory_sufficiency();
-        assert!(s.text.contains("= 12.5 GiB per server"), "{}", s.text);
-        assert!(s.text.contains("9.8% of a 128 GiB server: sufficient"));
+        assert!(s.contains("= 12.5 GiB per server"), "{s}");
+        assert!(s.contains("9.8% of a 128 GiB server: sufficient"));
     }
 
     #[test]
@@ -1329,7 +1273,7 @@ mod tests {
         let mut r = Report::new(tmp());
         let t1 = r.table1();
         let t2 = r.table2();
-        assert!(t1.text.contains("Table I"));
-        assert!(t2.text.contains("Table II"));
+        assert!(t1.contains("Table I"));
+        assert!(t2.contains("Table II"));
     }
 }

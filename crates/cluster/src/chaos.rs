@@ -562,7 +562,7 @@ pub fn fingerprint(m: &RunMetrics) -> u64 {
 /// The seed's fault plan. It is drawn from an rng of its own so the
 /// workload shape and the simulation streams are untouched by how many
 /// faults are drawn.
-fn seeded_faults(cfg: &ChaosConfig) -> Vec<(SimTime, Fault)> {
+pub fn seeded_faults(cfg: &ChaosConfig) -> Vec<(SimTime, Fault)> {
     generate_faults(
         &mut SimRng::new(cfg.seed ^ 0xC4A0_5EED),
         cfg.nodes,
@@ -579,16 +579,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     run_chaos_with(cfg, seeded_faults(cfg))
 }
 
-/// Builds the chaos world for `(cfg, faults)` with a fresh
-/// [`FlightRecorder`] attached and per-event validation on — shared by
-/// the straight-line runner below and the snapshot-forked minimizer,
-/// which drives the world step by step instead of calling
-/// [`World::run`]. Also returns the recorder handle and the workload's
-/// plan count.
-fn build_chaos_world(
-    cfg: &ChaosConfig,
-    faults: Vec<(SimTime, Fault)>,
-) -> (World, FlightRecorder, usize) {
+/// The chaos world for `(cfg, faults)`: `cfg`'s cluster size, seed, RPC
+/// channel and lease, small migration buffers, and the [`workload`] of
+/// `cfg.jobs` jobs under Ignem. It has no recorder attached and per-event
+/// validation off; the runners below add both, and tests that pin a chaos
+/// stream attach their own recorder.
+pub fn chaos_world(cfg: &ChaosConfig, faults: Vec<(SimTime, Fault)>) -> World {
     let mut cluster = ClusterConfig {
         nodes: cfg.nodes,
         seed: cfg.seed,
@@ -599,27 +595,33 @@ fn build_chaos_world(
     cluster.ignem.buffer_capacity = 512 * MIB;
     cluster.ignem.lease = cfg.lease;
     cluster.validate();
-
     let (files, plans) = workload(cfg.jobs);
-    let total_plans = plans.len();
+    World::new(cluster, FsMode::Ignem, &files, plans, faults)
+}
+
+/// [`chaos_world`] with a fresh [`FlightRecorder`] attached and per-event
+/// validation on — shared by the straight-line runners below and the
+/// snapshot-forked minimizer, which drives the world step by step instead
+/// of calling [`World::run`]. Also returns the recorder handle.
+fn build_chaos_world(cfg: &ChaosConfig, faults: Vec<(SimTime, Fault)>) -> (World, FlightRecorder) {
     // Generous bound: chaos workloads emit a few thousand events, so the
     // recorder keeps the whole run and invariant 6 sees everything.
     let recorder = FlightRecorder::new(1 << 20);
-    let world = World::new(cluster, FsMode::Ignem, &files, plans, faults)
+    let world = chaos_world(cfg, faults)
         .with_telemetry(Box::new(recorder.clone()))
         .with_validation();
-    (world, recorder, total_plans)
+    (world, recorder)
 }
 
 /// Runs one chaos experiment against an *explicit* fault schedule instead
-/// of a generated one — the minimizer's probe, and the replay vehicle for
-/// pinned regression schedules.
+/// of a generated one — the replay vehicle for pinned regression
+/// schedules and minimized reproducers.
 pub fn run_chaos_with(cfg: &ChaosConfig, faults: Vec<(SimTime, Fault)>) -> ChaosReport {
-    let (world, recorder, total_plans) = build_chaos_world(cfg, faults.clone());
+    let (world, recorder) = build_chaos_world(cfg, faults.clone());
     let metrics = world.run();
     ChaosReport::new(
         faults,
-        total_plans,
+        cfg.jobs,
         metrics,
         recorder.events(),
         recorder.dropped(),
@@ -637,13 +639,13 @@ pub fn run_chaos_observed(
     window: SimDuration,
 ) -> (ChaosReport, ignem_simcore::metrics::MetricsReport) {
     let faults = seeded_faults(cfg);
-    let (world, recorder, total_plans) = build_chaos_world(cfg, faults.clone());
+    let (world, recorder) = build_chaos_world(cfg, faults.clone());
     let registry = ignem_simcore::metrics::MetricsRegistry::new(window);
     let metrics = world.with_metrics(registry.clone()).run();
     let windows = registry.finish(metrics.makespan);
     let report = ChaosReport::new(
         faults,
-        total_plans,
+        cfg.jobs,
         metrics,
         recorder.events(),
         recorder.dropped(),
@@ -661,7 +663,7 @@ pub fn run_chaos_observed(
 /// can also reflect the same step's later records). Returns `None` when
 /// the run finishes before ever emitting `seq`.
 pub fn state_at(cfg: &ChaosConfig, seq: u64) -> Option<(EventRecord, String)> {
-    let (mut world, recorder, _) = build_chaos_world(cfg, seeded_faults(cfg));
+    let (mut world, recorder) = build_chaos_world(cfg, seeded_faults(cfg));
     loop {
         let emitted = world.telemetry_cursor().map_or(0, |(_, next)| next);
         if emitted > seq {
@@ -740,33 +742,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "run panicked".into())
 }
 
-/// Probes one candidate schedule by replaying it from `t = 0`: `Ok` when
-/// every invariant holds, `Err` with the violation (and the finished
-/// report, when the run survived to produce one — a mid-run panic from
-/// per-event validation yields `None`). Also returns the number of events
-/// the probe simulated, for [`MinimizeStats`].
-#[allow(clippy::type_complexity)]
-fn probe(
-    cfg: &ChaosConfig,
-    faults: &[(SimTime, Fault)],
-) -> (Result<(), Box<(String, Option<ChaosReport>)>>, u64) {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_chaos_with(cfg, faults.to_vec())
-    }));
-    match outcome {
-        Ok(report) => {
-            let events = report.metrics.events_processed;
-            match report.check_invariants() {
-                Ok(()) => (Ok(()), events),
-                Err(violation) => (Err(Box::new((violation, Some(report)))), events),
-            }
-        }
-        // A panicked replay's event count is unknown (the report never
-        // materialized); count it as zero.
-        Err(panic) => (Err(Box::new((panic_message(panic.as_ref()), None))), 0),
-    }
-}
-
 /// Everything needed to branch a probe from the instant just before one
 /// fault injection fires: the world snapshot, plus the flight-recorder
 /// stream up to that instant (snapshots deliberately exclude emitted
@@ -835,6 +810,8 @@ pub fn minimize_faults(cfg: &ChaosConfig) -> Option<MinimizedSchedule> {
 /// that a suppressed fault's `Inject` event still pops (inertly) so the
 /// forked path's `RunMetrics::events_processed` can exceed a replay's by
 /// the number of dropped faults, even though fewer events were *simulated*.
+/// A fault the accepted run never injected, because it panicked first, is
+/// dropped without a probe.
 ///
 /// # Panics
 ///
@@ -854,7 +831,7 @@ pub fn minimize_faults_with_stats(cfg: &ChaosConfig) -> (Option<MinimizedSchedul
     let total_faults = full_faults.len();
 
     // The initial full run, capturing a snapshot before every injection.
-    let (mut world, recorder, total_plans) = build_chaos_world(cfg, full_faults.clone());
+    let (mut world, recorder) = build_chaos_world(cfg, full_faults.clone());
     let mut captured = Vec::new();
     let metrics = run_capturing_snapshots(&mut world, &recorder, &[], 0, &mut captured);
     stats.probes = 1;
@@ -865,7 +842,7 @@ pub fn minimize_faults_with_stats(cfg: &ChaosConfig) -> (Option<MinimizedSchedul
     }
     let full_report = ChaosReport::new(
         full_faults.clone(),
-        total_plans,
+        cfg.jobs,
         metrics,
         recorder.events(),
         recorder.dropped(),
@@ -886,30 +863,36 @@ pub fn minimize_faults_with_stats(cfg: &ChaosConfig) -> (Option<MinimizedSchedul
         shrunk = false;
         for pos in 0..active.len() {
             let k = active[pos];
-            stats.probes += 1;
-            let accept = if snaps[k].is_some() {
-                fork_probe(
-                    &full_faults,
-                    &dropped,
-                    k,
-                    &mut world,
-                    &mut snaps,
-                    total_plans,
-                    &mut stats,
-                )
-            } else {
-                // The accepted run panicked before injection k ever fired
-                // (so no snapshot exists for it); fall back to a full
-                // replay of the candidate.
-                let candidate = candidate_faults(&full_faults, &dropped, k);
-                let (verdict, events) = probe(cfg, &candidate);
-                stats.simulated_events += events;
-                match verdict {
-                    Ok(()) => None,
-                    Err(err) => {
-                        let (v, r) = *err;
-                        Some((v, r))
+            let accept = match &snaps[k] {
+                // The accepted run panicked before injection k fired, so a
+                // run without k is the same run up to that panic: it fails
+                // the same way, and k goes without a probe.
+                None => Some((violation.clone(), None)),
+                Some(entry) => {
+                    stats.probes += 1;
+                    let (accept, captured) = fork_probe(
+                        cfg,
+                        &full_faults,
+                        &dropped,
+                        k,
+                        entry,
+                        &mut world,
+                        &mut stats,
+                    );
+                    if accept.is_some() {
+                        // The continuation's history is the new accepted
+                        // schedule: refresh every later snapshot it
+                        // reached, drop the rest. Earlier snapshots
+                        // (index < k) predate the divergence and stay
+                        // valid.
+                        for entry in snaps.iter_mut().skip(k + 1) {
+                            *entry = None;
+                        }
+                        for (idx, snap) in captured {
+                            snaps[idx] = Some(snap);
+                        }
                     }
+                    accept
                 }
             };
             if let Some((v, r)) = accept {
@@ -919,16 +902,6 @@ pub fn minimize_faults_with_stats(cfg: &ChaosConfig) -> (Option<MinimizedSchedul
                 }
                 dropped[k] = true;
                 active.remove(pos);
-                // Snapshots taken before a *later* injection baked in the
-                // old schedule's suffix behaviour only if the probe that
-                // refreshed them was accepted — fork_probe handles the
-                // refresh; the replay fallback leaves them stale, so
-                // invalidate.
-                if snaps[k].is_none() {
-                    for entry in snaps.iter_mut().skip(k + 1) {
-                        *entry = None;
-                    }
-                }
                 shrunk = true;
                 break;
             }
@@ -960,31 +933,25 @@ fn candidate_faults(
         .collect()
 }
 
-/// Probes "current schedule minus fault `k`" by restoring the snapshot
-/// taken just before injection `k` and simulating only the suffix with
-/// `k` suppressed. Returns `Some((violation, report))` when the candidate
-/// still fails (accept the drop), `None` when it passes (keep fault `k`).
-///
-/// On acceptance the snapshots captured during this continuation replace
-/// the stale ones for later injections — their histories now reflect the
-/// new schedule — and any later snapshot the continuation never reached
-/// (mid-run panic) is invalidated.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+/// Probes "current schedule minus fault `k`" by restoring `entry`, the
+/// snapshot taken just before injection `k`, and simulating only the
+/// suffix with `k` suppressed. Returns `Some((violation, report))` when
+/// the candidate still fails (accept the drop), `None` when it passes
+/// (keep fault `k`), together with the snapshots the continuation
+/// captured before later injections.
+#[allow(clippy::type_complexity)]
 fn fork_probe(
+    cfg: &ChaosConfig,
     full_faults: &[(SimTime, Fault)],
     dropped: &[bool],
     k: usize,
+    entry: &InjectSnapshot,
     world: &mut World,
-    snaps: &mut [Option<InjectSnapshot>],
-    total_plans: usize,
     stats: &mut MinimizeStats,
-) -> Option<(String, Option<ChaosReport>)> {
-    let Some(entry) = snaps[k].as_ref() else {
-        // The caller dispatches here only when a snapshot exists; if one
-        // ever goes missing, treat fault k as load-bearing (keep it)
-        // rather than panicking mid-minimization.
-        return None;
-    };
+) -> (
+    Option<(String, Option<ChaosReport>)>,
+    Vec<(usize, InjectSnapshot)>,
+) {
     world.restore(&entry.snap);
     let (prefix, prefix_dropped) = (entry.prefix.clone(), entry.prefix_dropped);
     for (d, was_dropped) in dropped.iter().enumerate() {
@@ -1007,7 +974,7 @@ fn fork_probe(
             events.extend(fork_rec.events());
             let cand_report = ChaosReport::new(
                 candidate,
-                total_plans,
+                cfg.jobs,
                 metrics,
                 events,
                 prefix_dropped + fork_rec.dropped(),
@@ -1019,18 +986,7 @@ fn fork_probe(
         }
         Err(panic) => Some((panic_message(panic.as_ref()), None)),
     };
-    if accept.is_some() {
-        // The continuation's history *is* the new accepted schedule:
-        // refresh every later snapshot it reached, drop the rest. Earlier
-        // snapshots (index < k) predate the divergence and stay valid.
-        for entry in snaps.iter_mut().skip(k + 1) {
-            *entry = None;
-        }
-        for (idx, snap) in captured {
-            snaps[idx] = Some(snap);
-        }
-    }
-    accept
+    (accept, captured)
 }
 
 #[cfg(test)]

@@ -79,21 +79,6 @@ impl BitCol {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Indices of set bits, ascending; skips 64 nodes per zero word.
-    pub fn iter_set(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                Some(wi * 64 + bit)
-            })
-        })
-    }
-
     /// Index of the `k`-th set bit (counting from 0, ascending), or `None`
     /// if at most `k` bits are set; skips 64 nodes per word popcount.
     pub fn nth_set(&self, mut k: usize) -> Option<usize> {
@@ -109,11 +94,6 @@ impl BitCol {
             k -= ones;
         }
         None
-    }
-
-    /// Resident bytes of the column's backing storage.
-    pub fn resident_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -139,26 +119,15 @@ mod tests {
     fn new_true_has_no_ghost_bits() {
         let col = BitCol::new(70, true);
         assert_eq!(col.count_ones(), 70);
-        assert_eq!(col.iter_set().count(), 70);
     }
 
     #[test]
-    fn iter_set_skips_zero_words() {
-        let mut col = BitCol::new(1000, false);
-        for i in [3, 64, 700, 999] {
-            col.set(i, true);
-        }
-        let set: Vec<usize> = col.iter_set().collect();
-        assert_eq!(set, vec![3, 64, 700, 999]);
-    }
-
-    #[test]
-    fn nth_set_agrees_with_iter_set() {
+    fn nth_set_agrees_with_get() {
         let mut col = BitCol::new(300, false);
         for i in [0, 5, 63, 64, 128, 191, 192, 299] {
             col.set(i, true);
         }
-        let set: Vec<usize> = col.iter_set().collect();
+        let set: Vec<usize> = (0..col.len()).filter(|&i| col.get(i)).collect();
         for (k, &i) in set.iter().enumerate() {
             assert_eq!(col.nth_set(k), Some(i));
         }

@@ -6,6 +6,7 @@
 //! runs into paper numbers (`EXPERIMENTS.md` records its output), and
 //! `ignem-sim replay` runs [`run_replay`]'s datacenter world.
 
+use ignem_compute::config::SLOTS_PER_NODE;
 use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
 use ignem_core::command::EvictionMode;
 use ignem_core::policy::Policy;
@@ -168,7 +169,7 @@ pub fn run_sort(cfg: &ClusterConfig, mode: FsMode, input_bytes: u64) -> RunMetri
     let mut spec = sort_job(
         files.iter().map(|(p, _)| p.clone()).collect(),
         input_bytes,
-        cfg.nodes * cfg.compute.slots_per_node,
+        cfg.nodes * SLOTS_PER_NODE,
     );
     if mode == FsMode::Ignem {
         spec.submit = SubmitOptions::with_migration();

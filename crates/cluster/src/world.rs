@@ -84,19 +84,20 @@
 // pure point lookups.
 use std::collections::{BTreeSet, HashMap};
 
+use ignem_compute::config::{AM_OVERHEAD, SLOTS_PER_NODE, SUBMIT_OVERHEAD, TASK_LAUNCH_OVERHEAD};
 use ignem_compute::job::{JobInput, JobSpec};
 use ignem_compute::slots::Slots;
 use ignem_compute::tracker::{
     choose_map_task, choose_reduce_task, JobTracker, MapInput, TaskId, TaskKind,
 };
 use ignem_core::command::{JobId, MigrateCommand, MigrateRequest, RpcPayload, SeqNo};
-use ignem_core::master::{IgnemMaster, RetryDecision};
+use ignem_core::master::{timeout_for, IgnemMaster, RetryDecision};
 use ignem_core::slave::{IgnemSlave, SlaveAction};
 use ignem_dfs::block::{split_into_blocks, BlockId};
 use ignem_dfs::client::{plan_read, ReadSource};
 use ignem_dfs::namenode::NameNode;
 use ignem_netsim::rpc::{Epoch, Incarnation, RpcChannel, RpcPeer};
-use ignem_netsim::{Fabric, NodeId, TransferId};
+use ignem_netsim::{Fabric, NodeId, TransferId, LATENCY};
 use ignem_simcore::event::Engine;
 use ignem_simcore::idmap::IdMap;
 use ignem_simcore::metrics::{MetricsRegistry, MetricsState};
@@ -107,6 +108,7 @@ use ignem_simcore::telemetry::{
     Event as TelemetryEvent, EventRecord, EventSink, FlightRecorder, ReadClass, Telemetry,
 };
 use ignem_simcore::time::{SimDuration, SimTime};
+use ignem_simcore::units::GB;
 use ignem_storage::disk::{Completion, Disk, IoKind, RequestId};
 use ignem_storage::memstore::{MemStore, Residency};
 
@@ -118,6 +120,10 @@ use crate::metrics::{BlockRead, JobResult, PlanResult, ReadKind, ResidencyLedger
 /// that reclaims references a slave acquired from a command delivered
 /// *after* a master failover purged its state.
 const CLEANUP_SWEEP: SimDuration = SimDuration::from_secs(30);
+
+/// RAM per server: the testbed's 128 GB, which holds the migration buffer,
+/// pinned inputs and the page cache.
+const MEM_CAPACITY: u64 = 128 * GB;
 
 /// One workload entry: a job (or multi-stage query) with a submission time.
 #[derive(Debug, Clone)]
@@ -601,7 +607,7 @@ impl World {
         }
 
         let mut mems: Vec<MemStore<BlockId>> = (0..cfg.nodes)
-            .map(|_| MemStore::new(cfg.mem_capacity))
+            .map(|_| MemStore::new(MEM_CAPACITY))
             .collect();
         if mode == FsMode::HdfsInputsInRam {
             // vmtouch: lock every input replica in memory before the run.
@@ -622,8 +628,8 @@ impl World {
             .map(|_| Disk::new(cfg.disk))
             .chain((0..cfg.nodes).map(|_| Disk::new(cfg.ram)))
             .collect();
-        let net = Fabric::new(cfg.nodes, cfg.net);
-        let slots = Slots::new(cfg.nodes, cfg.compute.slots_per_node);
+        let net = Fabric::new(cfg.nodes);
+        let slots = Slots::new(cfg.nodes, SLOTS_PER_NODE);
 
         // Schedule the plan, heartbeats and faults.
         for (i, p) in plans.iter().enumerate() {
@@ -1246,9 +1252,7 @@ impl World {
         }
         // Lead-time sources between submission and schedulability: the
         // submitter itself, any artificial sleep (Fig. 8), and AM startup.
-        let delay = self.cfg.compute.submit_overhead
-            + spec.submit.extra_lead_time
-            + self.cfg.compute.am_overhead;
+        let delay = SUBMIT_OVERHEAD + spec.submit.extra_lead_time + AM_OVERHEAD;
 
         // Hypothetical instantaneous scheme: whole input appears in memory
         // (one replica per block) at submission, vanishes at completion.
@@ -1472,10 +1476,8 @@ impl World {
                 node: node.0,
             });
             self.tracker.assign(task, node);
-            self.engine.schedule_in(
-                self.cfg.compute.task_launch_overhead,
-                Event::TaskLaunched(task),
-            );
+            self.engine
+                .schedule_in(TASK_LAUNCH_OVERHEAD, Event::TaskLaunched(task));
             if reuse {
                 break; // one task per freed container
             }
@@ -1783,17 +1785,16 @@ impl World {
 
     /// Sends one control-plane message through the lossy channel: every
     /// copy the channel lets through (none when it drops or cuts the
-    /// message, two when it duplicates it) arrives one RPC latency plus
-    /// that copy's extra delay later. Every master↔slave message goes
+    /// message, two when it duplicates it) arrives one network
+    /// [`LATENCY`] plus that copy's extra delay later. Every master↔slave message goes
     /// through here.
     fn rpc_send(&mut self, from: RpcPeer, to: RpcPeer, ev: Event) {
-        let rpc = self.net.rpc_latency();
         let copies = self.rpc.deliveries(&mut self.rpc_rng, from, to);
         if let Some((last, earlier)) = copies.as_slice().split_last() {
             for &extra in earlier {
-                self.engine.schedule_in(rpc + extra, ev.clone());
+                self.engine.schedule_in(LATENCY + extra, ev.clone());
             }
-            self.engine.schedule_in(rpc + *last, ev);
+            self.engine.schedule_in(LATENCY + *last, ev);
         }
     }
 
@@ -2507,7 +2508,7 @@ impl World {
         // master hears it — under any fault schedule that heals, this
         // terminates, and invariant 8 would flag a node that never got
         // through.
-        let timeout = self.cfg.master.retry.timeout_for(attempt);
+        let timeout = timeout_for(attempt);
         self.engine
             .schedule_in(timeout, Event::RegisterRetry(n, attempt));
     }

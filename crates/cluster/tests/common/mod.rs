@@ -4,12 +4,11 @@
 //! what lets both test files pin hashes over the recorded telemetry.
 #![allow(dead_code)]
 
-use ignem_cluster::chaos::{generate_faults, workload, ChaosConfig};
+use ignem_cluster::chaos::{chaos_world, seeded_faults, ChaosConfig};
 use ignem_cluster::prelude::*;
 use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
-use ignem_simcore::rng::SimRng;
 use ignem_simcore::time::SimDuration;
-use ignem_simcore::units::{MB, MIB};
+use ignem_simcore::units::MB;
 
 /// Recorder capacity large enough to hold every pinned stream whole.
 pub const RECORDER_CAP: usize = 1 << 20;
@@ -38,35 +37,13 @@ pub fn default_world() -> World {
     )
 }
 
-/// Mirrors `run_chaos_with`'s world construction for an arbitrary config.
-pub fn chaos_world(cfg: &ChaosConfig) -> World {
-    let mut fault_rng = SimRng::new(cfg.seed ^ 0xC4A0_5EED);
-    let faults = generate_faults(
-        &mut fault_rng,
-        cfg.nodes,
-        ClusterConfig::default().dfs.replication,
-        cfg.jobs,
-        cfg.faults,
-        cfg.crashes,
-    );
-    let mut cluster = ClusterConfig {
-        nodes: cfg.nodes,
-        seed: cfg.seed,
-        rpc: cfg.rpc,
-        ..ClusterConfig::default()
-    };
-    cluster.ignem.buffer_capacity = 512 * MIB;
-    cluster.ignem.lease = cfg.lease;
-    let (files, plans) = workload(cfg.jobs);
-    World::new(cluster, FsMode::Ignem, &files, plans, faults)
-}
-
-/// Mirrors `run_chaos_with`'s world construction for seed 304.
+/// `run_chaos`'s world for seed 304, without its recorder and validation.
 pub fn chaos_world_304() -> World {
-    chaos_world(&ChaosConfig {
+    let cfg = ChaosConfig {
         seed: 304,
         ..ChaosConfig::default()
-    })
+    };
+    chaos_world(&cfg, seeded_faults(&cfg))
 }
 
 /// Crash-recovery stream: chaos seed 14 with two `NodeCrash` draws —
@@ -74,9 +51,10 @@ pub fn chaos_world_304() -> World {
 /// read degrades to disk, the job re-ignites after restart; the second
 /// crash hits the node while it is already dark and must be a no-op).
 pub fn chaos_world_crash_14() -> World {
-    chaos_world(&ChaosConfig {
+    let cfg = ChaosConfig {
         seed: 14,
         crashes: 2,
         ..ChaosConfig::default()
-    })
+    };
+    chaos_world(&cfg, seeded_faults(&cfg))
 }

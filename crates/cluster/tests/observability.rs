@@ -14,8 +14,8 @@ mod common;
 
 use std::fmt::Write as _;
 
-use common::{chaos_world, chaos_world_304, chaos_world_crash_14, default_world, RECORDER_CAP};
-use ignem_cluster::chaos::ChaosConfig;
+use common::{chaos_world_304, chaos_world_crash_14, default_world, RECORDER_CAP};
+use ignem_cluster::chaos::{chaos_world, seeded_faults, ChaosConfig};
 use ignem_cluster::explain::{reconcile_critical_path, LossCause, TelemetryReport, Verdict};
 use ignem_cluster::metrics::RunMetrics;
 use ignem_cluster::prelude::*;
@@ -191,11 +191,12 @@ fn critical_path_reconciles_exactly_with_explainer() {
 /// The pre-lease cleanup world of seed 304: the only pinned stream whose
 /// explainer report carries leak records.
 fn chaos_world_304_legacy() -> World {
-    chaos_world(&ChaosConfig {
+    let cfg = ChaosConfig {
         seed: 304,
         lease: None,
         ..ChaosConfig::default()
-    })
+    };
+    chaos_world(&cfg, seeded_faults(&cfg))
 }
 
 /// A canonical, integer-only rendering of an explainer report: every
@@ -270,12 +271,13 @@ fn crash_sweep_tail() -> (usize, u64) {
     let mut contended = 0;
     let mut queued = 0;
     for seed in 0..256 {
-        let (metrics, events, dropped) = chaos_world(&ChaosConfig {
+        let cfg = ChaosConfig {
             seed,
             crashes: 1,
             ..ChaosConfig::default()
-        })
-        .run_recorded(RECORDER_CAP);
+        };
+        let (metrics, events, dropped) =
+            chaos_world(&cfg, seeded_faults(&cfg)).run_recorded(RECORDER_CAP);
         assert_eq!(dropped, 0, "recorder must hold the whole stream");
         let report = TelemetryReport::from_events(&events);
         report

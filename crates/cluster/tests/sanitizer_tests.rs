@@ -3,64 +3,15 @@
 //! re-check reproducing run A's tail), then prove the bisector pinpoints
 //! an injected divergence in a real recorded stream.
 
-use ignem_cluster::chaos::{fingerprint, generate_faults, workload, ChaosConfig};
-use ignem_cluster::prelude::*;
-use ignem_cluster::sanitizer::{bisect_divergence, double_run_forked};
-use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
-use ignem_simcore::rng::SimRng;
-use ignem_simcore::time::SimDuration;
-use ignem_simcore::units::{MB, MIB};
+mod common;
 
-const RECORDER_CAP: usize = 1 << 20;
+use common::{chaos_world_304, chaos_world_crash_14, default_world, RECORDER_CAP};
+use ignem_cluster::chaos::fingerprint;
+use ignem_cluster::sanitizer::{bisect_divergence, double_run_forked};
+use ignem_simcore::time::SimDuration;
+
 /// Emitted events between run A's snapshots.
 const SNAPSHOT_STRIDE: usize = 64;
-
-fn default_world() -> World {
-    let files: Vec<(String, u64)> = (0..4)
-        .map(|i| (format!("/in/part-{i}"), 512 * MB / 4))
-        .collect();
-    let mut spec = JobSpec::new(
-        "sanitizer-job",
-        JobInput::DfsFiles(files.iter().map(|(p, _)| p.clone()).collect()),
-    );
-    spec.submit = SubmitOptions::with_migration();
-    let plan = vec![PlannedJob::single(
-        "sanitizer",
-        SimDuration::from_secs(1),
-        spec,
-    )];
-    World::new(
-        ClusterConfig::default(),
-        FsMode::Ignem,
-        &files,
-        plan,
-        vec![],
-    )
-}
-
-/// Mirrors `run_chaos_with`'s world construction so the sanitizer can
-/// rebuild the same faulted world twice.
-fn chaos_world(cfg: &ChaosConfig) -> World {
-    let mut fault_rng = SimRng::new(cfg.seed ^ 0xC4A0_5EED);
-    let faults = generate_faults(
-        &mut fault_rng,
-        cfg.nodes,
-        ClusterConfig::default().dfs.replication,
-        cfg.jobs,
-        cfg.faults,
-        cfg.crashes,
-    );
-    let mut cluster = ClusterConfig {
-        nodes: cfg.nodes,
-        seed: cfg.seed,
-        rpc: cfg.rpc,
-        ..ClusterConfig::default()
-    };
-    cluster.ignem.buffer_capacity = 512 * MIB;
-    cluster.ignem.lease = cfg.lease;
-    let (files, plans) = workload(cfg.jobs);
-    World::new(cluster, FsMode::Ignem, &files, plans, faults)
-}
 
 #[test]
 fn double_run_defaults_is_deterministic() {
@@ -82,11 +33,7 @@ fn double_run_defaults_is_deterministic() {
 fn double_run_chaos_seed_is_deterministic() {
     // Seed 304 is the schedule that once leaked references (fixed in the
     // epoch/lease PR) — a good stress of the faulted migration paths.
-    let cfg = ChaosConfig {
-        seed: 304,
-        ..ChaosConfig::default()
-    };
-    let forked = double_run_forked(|| chaos_world(&cfg), RECORDER_CAP, SNAPSHOT_STRIDE);
+    let forked = double_run_forked(chaos_world_304, RECORDER_CAP, SNAPSHOT_STRIDE);
     assert!(forked.suffix_consistent, "forked suffix must match run A");
     let result = forked.run;
     assert!(
@@ -105,12 +52,7 @@ fn double_run_crash_seed_is_deterministic() {
     // Seed 14 with crashes enabled exercises the full crash/recovery
     // protocol: wipe, NIC-down, fresh incarnation, lossy re-registration
     // with retries, block report, re-replication, and re-ignition.
-    let cfg = ChaosConfig {
-        seed: 14,
-        crashes: 2,
-        ..ChaosConfig::default()
-    };
-    let forked = double_run_forked(|| chaos_world(&cfg), RECORDER_CAP, SNAPSHOT_STRIDE);
+    let forked = double_run_forked(chaos_world_crash_14, RECORDER_CAP, SNAPSHOT_STRIDE);
     assert!(forked.suffix_consistent, "forked suffix must match run A");
     let result = forked.run;
     assert!(

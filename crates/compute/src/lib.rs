@@ -5,7 +5,7 @@
 //! ([`tracker::JobTracker`]) with locality-aware task choice (including the
 //! migrated-replica preference Ignem exposes), per-node slot accounting
 //! ([`slots::Slots`]) and the scheduler constants that generate lead-time
-//! ([`config::ComputeConfig`]: 3 s heartbeats, launch overheads).
+//! ([`config`]: 3 s heartbeats, submit, AM and launch overheads).
 //!
 //! Timing — how long each task phase takes on disks, memory and network —
 //! is driven by `ignem-cluster`, which hosts these components next to the

@@ -29,42 +29,29 @@ use ignem_simcore::time::SimDuration;
 use crate::command::EvictionMode;
 use crate::command::{JobId, MigrateCommand, MigrateRequest, RpcPayload, SeqNo, SlaveBatch};
 
-/// Retry policy for unacknowledged master → slave sends: a fixed initial
-/// ack timeout, escalated exponentially per attempt and capped, with a
-/// bounded number of attempts before the master gives up (the slave is
-/// presumed dead; its references will be reclaimed by liveness cleanup).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryConfig {
-    /// Time to wait for the first acknowledgement.
-    pub ack_timeout: SimDuration,
-    /// Multiplier applied to the timeout after each unacknowledged attempt.
-    pub backoff: f64,
-    /// Upper bound on the escalated timeout.
-    pub max_timeout: SimDuration,
-    /// Total delivery attempts (first send included) before giving up.
-    pub max_attempts: u32,
-}
+/// Time to wait for the first acknowledgement of a master → slave send.
+pub const ACK_TIMEOUT: SimDuration = SimDuration::from_secs(1);
 
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            ack_timeout: SimDuration::from_secs(1),
-            backoff: 2.0,
-            max_timeout: SimDuration::from_secs(30),
-            max_attempts: 8,
-        }
-    }
-}
+/// Multiplier applied to the ack timeout after each unacknowledged attempt.
+pub const BACKOFF: f64 = 2.0;
 
-impl RetryConfig {
-    /// The ack timeout for the given attempt number (1-based), escalated
-    /// exponentially and capped at [`max_timeout`](Self::max_timeout).
-    pub fn timeout_for(&self, attempt: u32) -> SimDuration {
-        let base = self.ack_timeout.as_secs_f64();
-        let cap = self.max_timeout.as_secs_f64();
-        let secs = (base * self.backoff.powi(attempt.saturating_sub(1) as i32)).min(cap);
-        SimDuration::from_secs_f64(secs)
-    }
+/// Upper bound on the escalated ack timeout.
+pub const MAX_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
+/// Total delivery attempts (first send included) before the master gives
+/// up: the slave is presumed dead, and liveness cleanup reclaims its
+/// references.
+pub const MAX_ATTEMPTS: u32 = 8;
+
+/// The ack timeout for the given attempt number (1-based): [`ACK_TIMEOUT`]
+/// escalated by [`BACKOFF`] per earlier attempt and capped at
+/// [`MAX_TIMEOUT`]. Restarted slaves retry their registration on the same
+/// schedule.
+pub fn timeout_for(attempt: u32) -> SimDuration {
+    let base = ACK_TIMEOUT.as_secs_f64();
+    let cap = MAX_TIMEOUT.as_secs_f64();
+    let secs = (base * BACKOFF.powi(attempt.saturating_sub(1) as i32)).min(cap);
+    SimDuration::from_secs_f64(secs)
 }
 
 /// Master-side configuration.
@@ -75,15 +62,12 @@ pub struct MasterConfig {
     /// network is fast enough to read a remote migrated replica. Higher
     /// values exist for the ablation benches.
     pub replicas_to_migrate: usize,
-    /// Retransmission policy for sends over the unreliable channel.
-    pub retry: RetryConfig,
 }
 
 impl Default for MasterConfig {
     fn default() -> Self {
         MasterConfig {
             replicas_to_migrate: 1,
-            retry: RetryConfig::default(),
         }
     }
 }
@@ -434,7 +418,7 @@ impl IgnemMaster {
                 attempt: 1,
             },
         );
-        (seq, self.config.retry.timeout_for(1))
+        (seq, timeout_for(1))
     }
 
     /// Records an acknowledgement. Duplicate and stale acks (e.g. a
@@ -449,13 +433,12 @@ impl IgnemMaster {
 
     /// Handles an ack-timeout firing for `seq` and decides what to do: the
     /// send may have been settled in the meantime, be retransmitted with an
-    /// escalated timeout, or be abandoned after
-    /// [`RetryConfig::max_attempts`] attempts.
+    /// escalated timeout, or be abandoned after [`MAX_ATTEMPTS`] attempts.
     pub fn on_timeout(&mut self, seq: SeqNo) -> RetryDecision {
         let Some(pending) = self.outbox.get_mut(&seq) else {
             return RetryDecision::Settled;
         };
-        if pending.attempt >= self.config.retry.max_attempts {
+        if pending.attempt >= MAX_ATTEMPTS {
             let Some(pending) = self.outbox.remove(&seq) else {
                 // Unreachable: the get_mut above proved the entry exists and
                 // nothing ran in between. Treat as settled rather than
@@ -485,7 +468,7 @@ impl IgnemMaster {
             payload: pending.payload.clone(),
             epoch: pending.epoch,
             incarnation: pending.incarnation,
-            next_timeout: self.config.retry.timeout_for(pending.attempt),
+            next_timeout: timeout_for(pending.attempt),
         }
     }
 
@@ -638,12 +621,11 @@ mod tests {
 
     #[test]
     fn retry_timeout_escalates_and_caps() {
-        let retry = RetryConfig::default();
-        assert_eq!(retry.timeout_for(1), SimDuration::from_secs(1));
-        assert_eq!(retry.timeout_for(2), SimDuration::from_secs(2));
-        assert_eq!(retry.timeout_for(4), SimDuration::from_secs(8));
+        assert_eq!(timeout_for(1), SimDuration::from_secs(1));
+        assert_eq!(timeout_for(2), SimDuration::from_secs(2));
+        assert_eq!(timeout_for(4), SimDuration::from_secs(8));
         // 2^9 = 512 s would exceed the cap.
-        assert_eq!(retry.timeout_for(10), SimDuration::from_secs(30));
+        assert_eq!(timeout_for(10), SimDuration::from_secs(30));
     }
 
     #[test]
@@ -664,38 +646,25 @@ mod tests {
 
     #[test]
     fn timeouts_retry_then_give_up() {
-        let mut m = IgnemMaster::with_config(MasterConfig {
-            retry: RetryConfig {
-                max_attempts: 3,
-                ..RetryConfig::default()
-            },
-            ..MasterConfig::default()
-        });
+        let mut m = IgnemMaster::new();
         let payload = RpcPayload::Evict(JobId(1));
         let (seq, _) = m.register_send(NodeId(5), payload.clone());
-        assert_eq!(
-            m.on_timeout(seq),
-            RetryDecision::Retry {
-                to: NodeId(5),
-                payload: payload.clone(),
-                epoch: Epoch::FIRST,
-                incarnation: Incarnation::FIRST,
-                next_timeout: SimDuration::from_secs(2),
-            }
-        );
-        assert_eq!(
-            m.on_timeout(seq),
-            RetryDecision::Retry {
-                to: NodeId(5),
-                payload,
-                epoch: Epoch::FIRST,
-                incarnation: Incarnation::FIRST,
-                next_timeout: SimDuration::from_secs(4),
-            }
-        );
+        // Attempts 2 to 8 escalate the timeout until the 30 s cap.
+        for secs in [2, 4, 8, 16, 30, 30, 30] {
+            assert_eq!(
+                m.on_timeout(seq),
+                RetryDecision::Retry {
+                    to: NodeId(5),
+                    payload: payload.clone(),
+                    epoch: Epoch::FIRST,
+                    incarnation: Incarnation::FIRST,
+                    next_timeout: SimDuration::from_secs(secs),
+                }
+            );
+        }
         assert_eq!(m.on_timeout(seq), RetryDecision::GiveUp { to: NodeId(5) });
         assert_eq!(m.pending_sends(), 0);
-        assert_eq!(m.stats().retries, 2);
+        assert_eq!(m.stats().retries, u64::from(MAX_ATTEMPTS) - 1);
         assert_eq!(m.stats().gave_up, 1);
         // Another stray timeout after give-up is stale.
         assert_eq!(m.on_timeout(seq), RetryDecision::Settled);

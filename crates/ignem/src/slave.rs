@@ -48,7 +48,9 @@ pub struct IgnemConfig {
     /// amount of migrated data to a configurable maximum threshold").
     pub buffer_capacity: u64,
     /// Occupancy fraction of `buffer_capacity` at which a blocked slave
-    /// queries the scheduler for dead jobs (§III-A4 cleanup).
+    /// queries the scheduler for dead jobs (§III-A4 cleanup). Settable
+    /// because the `failure_injection` example and a world test lower it
+    /// to 0.5 to force the threshold-triggered cleanup.
     pub cleanup_threshold: f64,
     /// Maximum concurrent migration reads per slave. The paper uses **1**
     /// ("each slave only migrates one block at a time") to avoid disk

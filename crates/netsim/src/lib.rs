@@ -96,31 +96,20 @@ struct Inflight {
     started: SimTime,
 }
 
-/// Configuration of the fabric.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetConfig {
-    /// Per-NIC bandwidth in bytes/s (the paper's testbed: 10 Gbps).
-    pub nic_bandwidth: f64,
-    /// One-way latency charged to each transfer and RPC.
-    pub latency: SimDuration,
-}
+/// Per-NIC bandwidth in bytes/s: the paper's testbed has 10 Gbps NICs.
+pub const NIC_BANDWIDTH: f64 = 10e9 / 8.0;
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            nic_bandwidth: 10e9 / 8.0, // 10 Gbps in bytes/s
-            latency: SimDuration::from_micros(300),
-        }
-    }
-}
+/// One-way latency charged to each transfer and to each control-plane
+/// RPC.
+pub const LATENCY: SimDuration = SimDuration::from_micros(300);
 
 /// The cluster network (see crate docs).
 ///
 /// ```
-/// use ignem_netsim::{Fabric, NetConfig, NodeId, TransferId};
+/// use ignem_netsim::{Fabric, NodeId, TransferId};
 /// use ignem_simcore::time::SimTime;
 ///
-/// let mut net = Fabric::new(4, NetConfig::default());
+/// let mut net = Fabric::new(4);
 /// net.start(SimTime::ZERO, TransferId(1), NodeId(0), NodeId(1), 125_000_000);
 /// let mut done = vec![];
 /// while let Some(t) = net.next_event() {
@@ -131,7 +120,6 @@ impl Default for NetConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fabric {
-    config: NetConfig,
     downlinks: Vec<FlowResource>,
     inflight: IdMap<TransferId, Inflight>,
     /// Indices of the downlinks with at least one active flow, in no
@@ -140,21 +128,17 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Creates a fabric connecting `nodes` servers.
+    /// Creates a fabric connecting `nodes` servers with [`NIC_BANDWIDTH`]
+    /// NICs and [`LATENCY`].
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero or the bandwidth is not positive.
-    pub fn new(nodes: usize, config: NetConfig) -> Self {
+    /// Panics if `nodes` is zero.
+    pub fn new(nodes: usize) -> Self {
         assert!(nodes > 0, "fabric needs at least one node");
-        assert!(
-            config.nic_bandwidth.is_finite() && config.nic_bandwidth > 0.0,
-            "bad NIC bandwidth"
-        );
         Fabric {
-            config,
             downlinks: (0..nodes)
-                .map(|_| FlowResource::new(config.nic_bandwidth, 0.0))
+                .map(|_| FlowResource::new(NIC_BANDWIDTH, 0.0))
                 .collect(),
             inflight: IdMap::new(),
             busy: Vec::new(),
@@ -164,11 +148,6 @@ impl Fabric {
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
         self.downlinks.len()
-    }
-
-    /// The one-way RPC latency (applies to control messages).
-    pub fn rpc_latency(&self) -> SimDuration {
-        self.config.latency
     }
 
     /// Number of in-flight transfers.
@@ -221,7 +200,7 @@ impl Fabric {
         }
         // Latency as a "seek" on the receiver NIC; it does not consume
         // bandwidth share (degradation is 0 so seeking flows are harmless).
-        let done = nic.add(now, FlowId(id.0), bytes as f64, self.config.latency);
+        let done = nic.add(now, FlowId(id.0), bytes as f64, LATENCY);
         collect(&mut self.inflight, nic.clock(), done)
     }
 
@@ -315,7 +294,7 @@ mod tests {
 
     #[test]
     fn single_transfer_gets_full_nic() {
-        let mut net = Fabric::new(2, NetConfig::default());
+        let mut net = Fabric::new(2);
         net.start(
             SimTime::ZERO,
             TransferId(1),
@@ -331,7 +310,7 @@ mod tests {
 
     #[test]
     fn fan_in_shares_receiver_nic() {
-        let mut net = Fabric::new(3, NetConfig::default());
+        let mut net = Fabric::new(3);
         net.start(
             SimTime::ZERO,
             TransferId(1),
@@ -355,7 +334,7 @@ mod tests {
 
     #[test]
     fn different_receivers_do_not_interfere() {
-        let mut net = Fabric::new(4, NetConfig::default());
+        let mut net = Fabric::new(4);
         net.start(
             SimTime::ZERO,
             TransferId(1),
@@ -378,7 +357,7 @@ mod tests {
 
     #[test]
     fn cancel_drops_transfer() {
-        let mut net = Fabric::new(2, NetConfig::default());
+        let mut net = Fabric::new(2);
         net.start(
             SimTime::ZERO,
             TransferId(1),
@@ -393,7 +372,7 @@ mod tests {
 
     #[test]
     fn only_receivers_with_flows_are_busy() {
-        let mut net = Fabric::new(10_000, NetConfig::default());
+        let mut net = Fabric::new(10_000);
         assert_eq!((net.busy_nics(), net.next_event()), (0, None));
         net.start(SimTime::ZERO, TransferId(1), NodeId(0), NodeId(7), MB);
         net.start(SimTime::ZERO, TransferId(2), NodeId(1), NodeId(7), MB);
@@ -413,7 +392,7 @@ mod tests {
 
     #[test]
     fn cancel_after_an_unreported_finish_reports_nothing() {
-        let mut net = Fabric::new(2, NetConfig::default());
+        let mut net = Fabric::new(2);
         net.start(SimTime::ZERO, TransferId(1), NodeId(0), NodeId(1), MB);
         // The transfer finished at ~1.1 ms; the cancel at 1 s catches up
         // the NIC and finds it done, but the caller already gave it up.
@@ -424,22 +403,16 @@ mod tests {
     }
 
     #[test]
-    fn rpc_latency_exposed() {
-        let net = Fabric::new(1, NetConfig::default());
-        assert_eq!(net.rpc_latency(), SimDuration::from_micros(300));
-    }
-
-    #[test]
     #[should_panic(expected = "self-transfer")]
     fn self_transfer_rejected() {
-        let mut net = Fabric::new(2, NetConfig::default());
+        let mut net = Fabric::new(2);
         net.start(SimTime::ZERO, TransferId(1), NodeId(0), NodeId(0), MB);
     }
 
     #[test]
     #[should_panic(expected = "unknown node")]
     fn unknown_node_rejected() {
-        let mut net = Fabric::new(2, NetConfig::default());
+        let mut net = Fabric::new(2);
         net.start(SimTime::ZERO, TransferId(1), NodeId(0), NodeId(7), MB);
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use ignem_netsim::{Fabric, NetConfig, NodeId, TransferDone, TransferId};
+use ignem_netsim::{Fabric, NodeId, TransferDone, TransferId, LATENCY, NIC_BANDWIDTH};
 use ignem_simcore::flow::{FlowId, FlowResource};
 use ignem_simcore::rng::SimRng;
 use ignem_simcore::time::{SimDuration, SimTime};
@@ -14,8 +14,7 @@ fn transfers_complete_and_respect_capacity() {
     for seed in 0..64u64 {
         let mut rng = SimRng::new(0x7E75_0001 ^ seed);
         let n = 1 + rng.index(29);
-        let cfg = NetConfig::default();
-        let mut net = Fabric::new(6, cfg);
+        let mut net = Fabric::new(6);
         let mut expected = 0usize;
         let mut done = Vec::new();
         let mut now = SimTime::ZERO;
@@ -47,7 +46,7 @@ fn transfers_complete_and_respect_capacity() {
         assert_eq!(done.len(), expected, "seed {seed}");
         assert_eq!(net.in_flight(), 0, "seed {seed}");
         for d in &done {
-            let solo = d.bytes as f64 / cfg.nic_bandwidth + cfg.latency.as_secs_f64();
+            let solo = d.bytes as f64 / NIC_BANDWIDTH + LATENCY.as_secs_f64();
             assert!(
                 d.duration().as_secs_f64() + 1e-5 >= solo,
                 "seed {seed}: transfer {:?} beat the NIC: {} < {}",
@@ -62,17 +61,15 @@ fn transfers_complete_and_respect_capacity() {
 /// A fabric that visits every NIC on every call: the plain algorithm the
 /// busy-NIC fabric must match bit for bit.
 struct ScanEveryNic {
-    latency: SimDuration,
     nics: Vec<FlowResource>,
     inflight: BTreeMap<u64, (u32, u32, u64, SimTime)>,
 }
 
 impl ScanEveryNic {
-    fn new(nodes: usize, cfg: NetConfig) -> Self {
+    fn new(nodes: usize) -> Self {
         ScanEveryNic {
-            latency: cfg.latency,
             nics: (0..nodes)
-                .map(|_| FlowResource::new(cfg.nic_bandwidth, 0.0))
+                .map(|_| FlowResource::new(NIC_BANDWIDTH, 0.0))
                 .collect(),
             inflight: BTreeMap::new(),
         }
@@ -104,7 +101,7 @@ impl ScanEveryNic {
         bytes: u64,
     ) -> Vec<TransferDone> {
         self.inflight.insert(id, (from, to, bytes, now));
-        let done = self.nics[to as usize].add(now, FlowId(id), bytes as f64, self.latency);
+        let done = self.nics[to as usize].add(now, FlowId(id), bytes as f64, LATENCY);
         self.collect(done)
     }
 
@@ -143,9 +140,8 @@ fn busy_nic_fabric_matches_scanning_every_nic() {
     for seed in 0..48u64 {
         let mut rng = SimRng::new(0xB05E_0001 ^ seed);
         let nodes = 2 + rng.index(40);
-        let cfg = NetConfig::default();
-        let mut net = Fabric::new(nodes, cfg);
-        let mut reference = ScanEveryNic::new(nodes, cfg);
+        let mut net = Fabric::new(nodes);
+        let mut reference = ScanEveryNic::new(nodes);
         let mut now = SimTime::ZERO;
         let mut next_id = 0u64;
         for step in 0..400 {

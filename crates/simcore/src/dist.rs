@@ -111,71 +111,6 @@ impl Distribution for LogNormal {
     }
 }
 
-/// The Pareto (power-law) distribution with scale `x_m` and shape `alpha`.
-///
-/// Models the heavy tail of job input sizes ("85% of jobs read ≤64 MB, the
-/// largest read 24 GB").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    scale: f64,
-    shape: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are strictly positive and finite.
-    pub fn new(scale: f64, shape: f64) -> Self {
-        assert!(scale.is_finite() && scale > 0.0);
-        assert!(shape.is_finite() && shape > 0.0);
-        Pareto { scale, shape }
-    }
-}
-
-impl Distribution for Pareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.scale / (1.0 - rng.uniform()).powf(1.0 / self.shape)
-    }
-}
-
-/// A uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or either bound is not finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo.is_finite() && hi.is_finite() && lo <= hi);
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.uniform_range(self.lo, self.hi)
-    }
-}
-
-/// A degenerate distribution that always returns the same value. Handy for
-/// turning stochastic models deterministic in tests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Constant(pub f64);
-
-impl Distribution for Constant {
-    fn sample(&self, _rng: &mut SimRng) -> f64 {
-        self.0
-    }
-}
-
 /// One standard-normal sample via Box–Muller (the cosine branch).
 pub fn standard_normal(rng: &mut SimRng) -> f64 {
     let u1 = 1.0 - rng.uniform(); // (0, 1]
@@ -220,39 +155,6 @@ mod tests {
         let mut rng = SimRng::new(4);
         let below = (0..100_000).filter(|_| d.sample(&mut rng) < 1.8).count() as f64 / 100_000.0;
         assert!((below - 0.5).abs() < 0.01, "below-median frac={below}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let d = Pareto::new(64.0, 1.5);
-        let mut rng = SimRng::new(5);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= 64.0);
-        }
-    }
-
-    #[test]
-    fn pareto_mean_converges() {
-        // alpha=3 has mean scale*alpha/(alpha-1) = 1.5*scale.
-        let d = Pareto::new(2.0, 3.0);
-        let m = mean_of(&d, 6, 400_000);
-        assert!((m - 3.0).abs() < 0.05, "mean={m}");
-    }
-
-    #[test]
-    fn uniform_stays_in_bounds() {
-        let d = Uniform::new(3.0, 9.0);
-        let mut rng = SimRng::new(7);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((3.0..9.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn constant_is_constant() {
-        let d = Constant(5.5);
-        assert_eq!(d.sample(&mut SimRng::new(1)), 5.5);
     }
 
     #[test]

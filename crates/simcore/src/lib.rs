@@ -9,7 +9,7 @@
 //! * [`event`] — the [`event::Engine`]: time-ordered event queue (a binary
 //!   heap keyed by time and insertion order; no cancellation).
 //! * [`rng`] — version-stable seeded RNG ([`rng::SimRng`]).
-//! * [`dist`] — exponential / log-normal / Pareto samplers for workloads.
+//! * [`dist`] — exponential and log-normal samplers for workloads.
 //! * [`flow`] — fluid-flow processor-sharing resources with concurrency
 //!   degradation ([`flow::FlowResource`]): the disk/NIC model.
 //! * [`stats`] — CDFs, histograms, time-weighted series.
@@ -58,7 +58,7 @@ pub mod units;
 
 /// Convenient glob-import of the most-used types.
 pub mod prelude {
-    pub use crate::dist::{Constant, Distribution, Exponential, LogNormal, Pareto, Uniform};
+    pub use crate::dist::{Distribution, Exponential, LogNormal};
     pub use crate::event::Engine;
     pub use crate::flow::{FlowId, FlowResource};
     pub use crate::idmap::{DenseId, IdMap, IdSet};

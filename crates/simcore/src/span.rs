@@ -266,21 +266,6 @@ impl SpanForest {
         self.spans.iter().filter(|s| s.parent == Some(id)).collect()
     }
 
-    /// A span's exclusive time: its duration minus the summed durations of
-    /// its direct children (saturating; overlapping children may overcount
-    /// coverage, which only ever shrinks the exclusive share).
-    pub fn exclusive(&self, id: SpanId) -> SimDuration {
-        let Some(span) = self.span(id) else {
-            return SimDuration::ZERO;
-        };
-        let covered: u64 = self
-            .children(id)
-            .iter()
-            .map(|c| c.duration().as_micros())
-            .sum();
-        SimDuration::from_micros(span.duration().as_micros().saturating_sub(covered))
-    }
-
     /// Charges every job's lead phases and owned rounds to their
     /// categories (see [`CriticalPath`]). A phase the stream never closed
     /// ends at the job's completion, or else at the last record.
@@ -1235,18 +1220,5 @@ mod tests {
         assert_eq!(transfer.parent, Some(root.id));
         assert_eq!(root.end, SimTime::from_secs(3));
         assert_eq!(transfer.end, SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn exclusive_time_subtracts_children() {
-        let f = SpanForest::build(&migration_stream());
-        let root = f.spans.iter().find(|s| s.name == "migration").unwrap();
-        // Root spans 2→13; children command 2→5, queued 5→8, transfer
-        // 8→13, resident 13→21 (extends past the root; exclusive
-        // saturates at zero).
-        assert_eq!(f.exclusive(root.id), SimDuration::ZERO);
-        let command = f.spans.iter().find(|s| s.name == "command").unwrap();
-        // Command 2→5 minus 1s retry backoff.
-        assert_eq!(f.exclusive(command.id), SimDuration::from_secs(2));
     }
 }

@@ -187,26 +187,6 @@ impl Histogram {
         }
     }
 
-    /// Creates a histogram from explicit ascending bin edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two edges or edges are not strictly ascending.
-    pub fn from_edges(edges: Vec<f64>) -> Self {
-        assert!(edges.len() >= 2, "need at least two edges");
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "edges must be strictly ascending"
-        );
-        let bins = edges.len() - 1;
-        Histogram {
-            edges,
-            counts: vec![0; bins],
-            overflow: 0,
-            underflow: 0,
-        }
-    }
-
     /// Records a sample.
     pub fn record(&mut self, x: f64) {
         let lo = self.edges[0];
@@ -255,8 +235,8 @@ impl Histogram {
 }
 
 /// Tracks a piecewise-constant value over simulated time, producing
-/// time-weighted averages and sampled series (per-server memory occupancy in
-/// Fig. 7, disk utilisation in Fig. 4).
+/// time-weighted averages and change-point series (per-server memory
+/// occupancy in Fig. 7, disk utilisation in Fig. 4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeWeighted {
     last_time: SimTime,
@@ -271,7 +251,11 @@ pub struct TimeWeighted {
 
 impl TimeWeighted {
     /// Creates a tracker starting at `value` at time zero. `keep_history`
-    /// retains every change point for series export (costs memory).
+    /// retains every change point for series export, which costs memory
+    /// that grows with the run. Without it the tracker keeps only the
+    /// running sum and maximum behind [`average`](Self::average) and
+    /// [`peak`](Self::peak): the bounded form that long runs are to keep
+    /// instead of change logs.
     pub fn new(value: f64, keep_history: bool) -> Self {
         TimeWeighted {
             last_time: SimTime::ZERO,
@@ -316,12 +300,14 @@ impl TimeWeighted {
         self.value
     }
 
-    /// Maximum value ever held.
+    /// Maximum value ever held, kept without history (see
+    /// [`new`](Self::new)).
     pub fn peak(&self) -> f64 {
         self.peak
     }
 
-    /// Time-weighted average over `[0, now]`.
+    /// Time-weighted average over `[0, now]`, from a running sum kept
+    /// without history (see [`new`](Self::new)).
     pub fn average(&self, now: SimTime) -> f64 {
         let extra = now.saturating_duration_since(self.last_time).as_secs_f64();
         let total = self.span.as_secs_f64() + extra;
@@ -329,20 +315,6 @@ impl TimeWeighted {
             self.value
         } else {
             (self.weighted_sum + self.value * extra) / total
-        }
-    }
-
-    /// The value held at time `t` (requires history).
-    ///
-    /// # Panics
-    ///
-    /// Panics if history was not kept.
-    pub fn value_at(&self, t: SimTime) -> f64 {
-        assert!(self.keep_history, "history not kept");
-        match self.history.binary_search_by_key(&t, |&(at, _)| at) {
-            Ok(i) => self.history[i].1,
-            Err(0) => self.history[0].1,
-            Err(i) => self.history[i - 1].1,
         }
     }
 
@@ -354,19 +326,6 @@ impl TimeWeighted {
     pub fn sample_series_raw(&self) -> &[(SimTime, f64)] {
         assert!(self.keep_history, "history not kept");
         &self.history
-    }
-
-    /// Samples the series every `interval` over `[0, end]` (requires
-    /// history). Returns `(time, value)` pairs.
-    pub fn sample_series(&self, interval: SimDuration, end: SimTime) -> Vec<(SimTime, f64)> {
-        assert!(!interval.is_zero(), "zero sampling interval");
-        let mut out = Vec::new();
-        let mut t = SimTime::ZERO;
-        while t <= end {
-            out.push((t, self.value_at(t)));
-            t += interval;
-        }
-        out
     }
 }
 
@@ -416,17 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_explicit_edges() {
-        let mut h = Histogram::from_edges(vec![0.0, 1.0, 10.0, 100.0]);
-        h.record(0.5);
-        h.record(5.0);
-        h.record(50.0);
-        assert_eq!(h.bin_counts(), &[1, 1, 1]);
-        let rel = h.relative();
-        assert!((rel.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn time_weighted_average() {
         let mut tw = TimeWeighted::new(0.0, false);
         tw.set(SimTime::from_secs(10), 100.0); // 0 for 10 s
@@ -435,25 +383,6 @@ mod tests {
         assert_eq!(tw.peak(), 100.0);
         // Continues at 0 for another 20 s -> average 25.
         assert_eq!(tw.average(SimTime::from_secs(40)), 25.0);
-    }
-
-    #[test]
-    fn time_weighted_history_and_sampling() {
-        let mut tw = TimeWeighted::new(1.0, true);
-        tw.set(SimTime::from_secs(5), 3.0);
-        tw.set(SimTime::from_secs(10), 2.0);
-        assert_eq!(tw.value_at(SimTime::from_secs(0)), 1.0);
-        assert_eq!(tw.value_at(SimTime::from_secs(7)), 3.0);
-        assert_eq!(tw.value_at(SimTime::from_secs(10)), 2.0);
-        let series = tw.sample_series(SimDuration::from_secs(5), SimTime::from_secs(10));
-        assert_eq!(
-            series,
-            vec![
-                (SimTime::from_secs(0), 1.0),
-                (SimTime::from_secs(5), 3.0),
-                (SimTime::from_secs(10), 2.0)
-            ]
-        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use ignem_simcore::stats::TimeWeighted;
-use ignem_simcore::time::{SimDuration, SimTime};
+use ignem_simcore::time::SimTime;
 
 /// Why a block resides in memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,11 +136,6 @@ impl<K: Ord + Copy> MemStore<K> {
     /// The residency of `key`, if resident.
     pub fn residency(&self, key: &K) -> Option<Residency> {
         self.blocks.get(key).map(|&(_, r)| r)
-    }
-
-    /// The size of `key` in bytes, if resident.
-    pub fn size_of(&self, key: &K) -> Option<u64> {
-        self.blocks.get(key).map(|&(b, _)| b)
     }
 
     /// Keys of all resident blocks with the given residency, in key order.
@@ -283,21 +278,6 @@ impl<K: Ord + Copy> MemStore<K> {
         released
     }
 
-    /// Time-weighted average of **migrated** occupancy (bytes) up to `now`.
-    pub fn average_migrated_occupancy(&self, now: SimTime) -> f64 {
-        self.occupancy.average(now)
-    }
-
-    /// Peak migrated occupancy in bytes.
-    pub fn peak_migrated_occupancy(&self) -> f64 {
-        self.occupancy.peak()
-    }
-
-    /// Migrated-occupancy series sampled every `interval` over `[0, end]`.
-    pub fn occupancy_series(&self, interval: SimDuration, end: SimTime) -> Vec<(SimTime, f64)> {
-        self.occupancy.sample_series(interval, end)
-    }
-
     /// The raw migrated-occupancy change points `(time, bytes)`.
     pub fn occupancy_changes(&self) -> Vec<(SimTime, f64)> {
         self.occupancy.sample_series_raw().to_vec()
@@ -355,26 +335,6 @@ mod tests {
         assert!(m.contains(&1));
         assert_eq!(m.used(), 30 * MB);
         assert_eq!(m.migrated_used(), 0);
-    }
-
-    #[test]
-    fn occupancy_tracking_is_time_weighted() {
-        let mut m: MemStore<u32> = MemStore::new(100 * MB);
-        m.insert(t(0), 1, 10 * MB, Residency::Migrated).unwrap();
-        m.remove(t(10), &1); // 10 MB held for 10 s
-        let avg = m.average_migrated_occupancy(t(20));
-        assert!((avg - 5.0 * MB as f64).abs() < 1.0);
-        assert_eq!(m.peak_migrated_occupancy(), 10.0 * MB as f64);
-    }
-
-    #[test]
-    fn occupancy_series_samples() {
-        let mut m: MemStore<u32> = MemStore::new(100 * MB);
-        m.insert(t(2), 1, 10 * MB, Residency::Migrated).unwrap();
-        let series = m.occupancy_series(SimDuration::from_secs(2), t(4));
-        assert_eq!(series.len(), 3);
-        assert_eq!(series[0].1, 0.0);
-        assert_eq!(series[2].1, 10.0 * MB as f64);
     }
 
     #[test]

@@ -29,42 +29,43 @@ pub struct GoogleJob {
     pub read_time: f64,
 }
 
-/// Trace-synthesis parameters (defaults reproduce the paper's statistics).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GoogleTraceConfig {
-    /// Number of jobs for the Fig. 3 analysis.
-    pub jobs: usize,
-    /// Queueing-time median (paper: 1.8 s).
-    pub queue_median: f64,
-    /// Queueing-time mean (paper: 8.8 s).
-    pub queue_mean: f64,
-    /// Read-time median (calibrated so ~81% of jobs fit in lead-time).
-    pub read_median: f64,
-    /// Read-time log-sigma (tail heaviness).
-    pub read_sigma: f64,
-    /// Number of servers for the Fig. 4 utilisation timelines.
-    pub servers: usize,
-    /// Timeline length in seconds (paper plots 24 h).
-    pub horizon_secs: u64,
-    /// Target mean disk utilisation over the horizon (paper: 3.1% daily).
-    pub mean_utilization: f64,
+/// Jobs in the Fig. 3 lead-time analysis.
+const JOBS: usize = 20_000;
+
+/// Queueing-time median in seconds (paper: 1.8 s).
+const QUEUE_MEDIAN_SECS: f64 = 1.8;
+
+/// Queueing-time mean in seconds (paper: 8.8 s).
+const QUEUE_MEAN_SECS: f64 = 8.8;
+
+/// Read-time log-sigma (tail heaviness).
+const READ_SIGMA: f64 = 1.5;
+
+/// Servers in the Fig. 4 utilisation timelines.
+const SERVERS: usize = 200;
+
+/// Timeline length in seconds (the paper plots 24 h).
+const HORIZON_SECS: u64 = 24 * 3600;
+
+/// Target mean disk utilisation over the horizon (paper: 3.1% daily).
+const MEAN_UTILIZATION: f64 = 0.031;
+
+/// The trace's queueing delay in seconds, which is a job's lead-time: the
+/// log-normal with the paper's 1.8 s median and 8.8 s mean.
+pub fn queueing_delay() -> LogNormal {
+    LogNormal::from_median_mean(QUEUE_MEDIAN_SECS, QUEUE_MEAN_SECS)
 }
 
-impl Default for GoogleTraceConfig {
-    fn default() -> Self {
-        GoogleTraceConfig {
-            jobs: 20_000,
-            queue_median: 1.8,
-            queue_mean: 8.8,
-            // Phi((mu_l - mu_r) / sqrt(sig_l^2 + sig_r^2)) = 0.81 with the
-            // queue parameters above and sigma_r = 1.5 gives mu_r = -1.46.
-            read_median: (-1.46f64).exp(),
-            read_sigma: 1.5,
-            servers: 200,
-            horizon_secs: 24 * 3600,
-            mean_utilization: 0.031,
-        }
-    }
+/// A job's total disk-read time in seconds: a log-normal with
+/// mu = -1.46 and sigma = 1.5, calibrated so that the Fig. 3 analysis
+/// yields the paper's 81%: Phi((mu_l - mu_r) / sqrt(sig_l^2 + sig_r^2)) =
+/// 0.81 with the [`queueing_delay`] parameters and sigma_r = 1.5 gives
+/// mu_r = -1.46.
+pub fn read_time() -> LogNormal {
+    // mu is the log of the median exp(-1.46), as the calibration states
+    // it: -1.46 written directly may differ in the last bit, which would
+    // move the Fig. 3 series and every replayed input size.
+    LogNormal::new((-1.46f64).exp().ln(), READ_SIGMA)
 }
 
 /// A synthesised job population for the Fig. 3 lead-time analysis.
@@ -75,16 +76,11 @@ pub struct GoogleTrace {
 }
 
 impl GoogleTrace {
-    /// Synthesises `config.jobs` jobs (see module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config requests zero jobs.
-    pub fn generate(config: &GoogleTraceConfig, rng: &mut SimRng) -> Self {
-        assert!(config.jobs > 0, "no jobs");
-        let queue = LogNormal::from_median_mean(config.queue_median, config.queue_mean);
-        let read = LogNormal::new(config.read_median.ln(), config.read_sigma);
-        let jobs = (0..config.jobs)
+    /// Synthesises 20,000 jobs (see module docs).
+    pub fn generate(rng: &mut SimRng) -> Self {
+        let queue = queueing_delay();
+        let read = read_time();
+        let jobs = (0..JOBS)
             .map(|_| GoogleJob {
                 lead_time: queue.sample(rng),
                 read_time: read.sample(rng),
@@ -133,26 +129,21 @@ pub struct UtilizationTimelines {
 }
 
 impl UtilizationTimelines {
-    /// Synthesises per-server utilisation: servers receive Poisson IO
-    /// bursts whose rate is tuned to `config.mean_utilization`, with a
-    /// small population of persistently busier servers (the trace shows
-    /// occasional servers spiking, which the paper's Fig. 4 displays).
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero servers or a horizon shorter than one window.
-    pub fn generate(config: &GoogleTraceConfig, rng: &mut SimRng) -> Self {
+    /// Synthesises 24 h of per-server utilisation for 200 servers:
+    /// servers receive Poisson IO bursts whose rate is tuned to the
+    /// paper's 3.1% mean, with a small population of persistently busier
+    /// servers (the trace shows occasional servers spiking, which the
+    /// paper's Fig. 4 displays).
+    pub fn generate(rng: &mut SimRng) -> Self {
         const WINDOW: u64 = 300;
-        assert!(config.servers > 0, "no servers");
-        assert!(config.horizon_secs >= WINDOW, "horizon under one window");
         const BURST_MEAN_SECS: f64 = 20.0;
-        let windows = (config.horizon_secs / WINDOW) as usize;
+        let windows = (HORIZON_SECS / WINDOW) as usize;
         let burst_secs = Exponential::from_mean(BURST_MEAN_SECS);
-        let mut timelines = Vec::with_capacity(config.servers);
-        for _ in 0..config.servers {
+        let mut timelines = Vec::with_capacity(SERVERS);
+        for _ in 0..SERVERS {
             // Per-server mean utilisation: mildly skewed around the target
             // (multiplier uniform in [0.5, 1.5], mean 1).
-            let server_mean = (config.mean_utilization * (0.5 + rng.uniform())).clamp(0.001, 0.6);
+            let server_mean = (MEAN_UTILIZATION * (0.5 + rng.uniform())).clamp(0.001, 0.6);
             let mut busy = vec![0.0f64; windows];
             // Poisson bursts: expected busy = rate * mean_burst.
             let rate_per_sec = server_mean / BURST_MEAN_SECS;
@@ -160,13 +151,13 @@ impl UtilizationTimelines {
             let gap = Exponential::new(rate_per_sec.max(1e-9));
             loop {
                 t += gap.sample(rng);
-                if t >= config.horizon_secs as f64 {
+                if t >= HORIZON_SECS as f64 {
                     break;
                 }
                 let mut len = burst_secs.sample(rng);
                 let mut at = t;
                 // Spread the burst across the windows it covers.
-                while len > 0.0 && at < config.horizon_secs as f64 {
+                while len > 0.0 && at < HORIZON_SECS as f64 {
                     let w = (at / WINDOW as f64) as usize;
                     let window_end = ((w + 1) * WINDOW as usize) as f64;
                     let in_window = len.min(window_end - at);
@@ -260,7 +251,7 @@ mod tests {
     use super::*;
 
     fn trace() -> GoogleTrace {
-        GoogleTrace::generate(&GoogleTraceConfig::default(), &mut SimRng::new(2011))
+        GoogleTrace::generate(&mut SimRng::new(2011))
     }
 
     #[test]
@@ -286,8 +277,7 @@ mod tests {
 
     #[test]
     fn utilization_mean_matches_paper() {
-        let cfg = GoogleTraceConfig::default();
-        let u = UtilizationTimelines::generate(&cfg, &mut SimRng::new(4));
+        let u = UtilizationTimelines::generate(&mut SimRng::new(4));
         let mean = u.overall_mean();
         assert!(
             (mean - 0.031).abs() < 0.01,
@@ -299,8 +289,7 @@ mod tests {
     fn group_mean_stays_low() {
         // Fig. 4: "the mean disk utilization of 40 randomly chosen servers
         // is at most 5%" at any point in the 24 h window.
-        let cfg = GoogleTraceConfig::default();
-        let u = UtilizationTimelines::generate(&cfg, &mut SimRng::new(5));
+        let u = UtilizationTimelines::generate(&mut SimRng::new(5));
         let series = u.group_mean_timeline(40);
         let peak = series.iter().cloned().fold(0.0, f64::max);
         assert!(peak <= 0.08, "40-server mean peaked at {peak}");
@@ -308,8 +297,7 @@ mod tests {
 
     #[test]
     fn individual_servers_do_spike() {
-        let cfg = GoogleTraceConfig::default();
-        let u = UtilizationTimelines::generate(&cfg, &mut SimRng::new(6));
+        let u = UtilizationTimelines::generate(&mut SimRng::new(6));
         let max_any = u.timelines.iter().flatten().cloned().fold(0.0, f64::max);
         assert!(max_any > 0.10, "no server ever spikes ({max_any})");
     }
@@ -329,9 +317,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let cfg = GoogleTraceConfig::default();
-        let a = GoogleTrace::generate(&cfg, &mut SimRng::new(1));
-        let b = GoogleTrace::generate(&cfg, &mut SimRng::new(1));
+        let a = GoogleTrace::generate(&mut SimRng::new(1));
+        let b = GoogleTrace::generate(&mut SimRng::new(1));
         assert_eq!(a, b);
     }
 }

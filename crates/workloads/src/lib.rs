@@ -22,9 +22,7 @@ pub mod tpcds;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::google::{
-        GoogleTrace, GoogleTraceConfig, MemorySufficiency, UtilizationTimelines,
-    };
+    pub use crate::google::{GoogleTrace, MemorySufficiency, UtilizationTimelines};
     pub use crate::iterative::IterativeJob;
     pub use crate::jobs::{sort_job, wordcount_job, SORT_INPUT_BYTES, WORDCOUNT_SWEEP_GB};
     pub use crate::stream::{replay_files, JobArrival, ReplayConfig, ReplayStream};

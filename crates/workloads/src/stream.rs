@@ -21,31 +21,31 @@
 //! namespace while still streaming the jobs themselves.
 
 use ignem_compute::job::{JobInput, JobSpec, SubmitOptions};
-use ignem_simcore::dist::{Distribution, Exponential, LogNormal};
+use ignem_simcore::dist::{Distribution, Exponential};
 use ignem_simcore::rng::SimRng;
 use ignem_simcore::time::SimDuration;
 use ignem_simcore::units::MIB;
 
+use crate::google::{queueing_delay, read_time};
+
 /// Parameters of a streamed trace replay. Defaults reproduce the Google
-/// trace statistics at the paper's scale: ~20k jobs/day.
+/// trace statistics at the paper's scale: ~20k jobs/day. The queueing
+/// delay and read time are the trace's own ([`queueing_delay`],
+/// [`read_time`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayConfig {
     /// Jobs to emit; `None` streams forever (the caller bounds the run by
-    /// simulated time instead).
+    /// simulated time instead). `run_replay` and the benchmark bound their
+    /// streams with it.
     pub jobs: Option<u64>,
     /// Mean arrival rate (jobs per second; Poisson process). The default
-    /// is the trace's 20 000 jobs / 24 h.
+    /// is the trace's 20 000 jobs / 24 h; callers read it to size a
+    /// replay of a given span.
     pub arrivals_per_sec: f64,
-    /// Queueing-time median in seconds (paper: 1.8 s).
-    pub queue_median: f64,
-    /// Queueing-time mean in seconds (paper: 8.8 s).
-    pub queue_mean: f64,
-    /// Read-time median in seconds (calibrated in [`crate::google`]).
-    pub read_median: f64,
-    /// Read-time log-sigma (tail heaviness).
-    pub read_sigma: f64,
     /// Nominal single-disk bandwidth (bytes/s) converting a job's
-    /// read-time draw into an input size.
+    /// [`read_time`] draw into an input size. This and the two clamps
+    /// below set the tasks per job, which a replay scaled to the node
+    /// count varies.
     pub read_bandwidth: f64,
     /// Input-size clamp, low end (degenerate draws still make one block).
     pub min_input_bytes: u64,
@@ -58,10 +58,6 @@ impl Default for ReplayConfig {
         ReplayConfig {
             jobs: None,
             arrivals_per_sec: 20_000.0 / 86_400.0,
-            queue_median: 1.8,
-            queue_mean: 8.8,
-            read_median: (-1.46f64).exp(),
-            read_sigma: 1.5,
             read_bandwidth: 128.0 * MIB as f64,
             min_input_bytes: 4 * MIB,
             max_input_bytes: 1024 * MIB,
@@ -116,8 +112,7 @@ impl ReplayStream {
     /// One input-size draw: a read-time sample converted to bytes at the
     /// nominal bandwidth, clamped to the configured range.
     fn input_bytes(cfg: &ReplayConfig, rng: &mut SimRng) -> u64 {
-        let read = LogNormal::new(cfg.read_median.ln(), cfg.read_sigma);
-        let secs = read.sample(rng);
+        let secs = read_time().sample(rng);
         let bytes = (secs * cfg.read_bandwidth) as u64;
         bytes.clamp(cfg.min_input_bytes, cfg.max_input_bytes)
     }
@@ -137,8 +132,7 @@ impl Iterator for ReplayStream {
         // (see `FILE_SIZE_SALT`) so it matches the preloaded file.
         let gap = Exponential::new(self.cfg.arrivals_per_sec.max(1e-12));
         self.clock_secs += gap.sample(&mut self.rng);
-        let queue = LogNormal::from_median_mean(self.cfg.queue_median, self.cfg.queue_mean);
-        let lead = queue.sample(&mut self.rng);
+        let lead = queueing_delay().sample(&mut self.rng);
         let input_bytes = Self::input_bytes(&self.cfg, &mut size_rng(index));
 
         let name = format!("google-{index}");

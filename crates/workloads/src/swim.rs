@@ -10,7 +10,7 @@
 //!
 //! The published SWIM repository is unavailable offline, so
 //! [`SwimTrace::generate`] synthesises a trace with exactly those published
-//! properties: a body of small jobs, a Pareto tail rescaled so the totals
+//! properties: a body of small jobs, a log-uniform tail rescaled so the totals
 //! match, and exponential arrivals. Given a seed the trace is fully
 //! deterministic.
 

@@ -10,7 +10,7 @@ use ignem_repro::simcore::rng::SimRng;
 use ignem_repro::simcore::time::SimDuration;
 use ignem_repro::simcore::units::GB;
 use ignem_repro::storage::device::DeviceProfile;
-use ignem_repro::workloads::google::{GoogleTrace, GoogleTraceConfig};
+use ignem_repro::workloads::google::GoogleTrace;
 use ignem_repro::workloads::swim::{SwimConfig, SwimTrace};
 use ignem_repro::workloads::tpcds::fig9_queries;
 
@@ -173,7 +173,7 @@ fn media_ordering_under_concurrency() {
 /// Fig. 3: the synthetic Google trace reproduces the 81% sufficiency.
 #[test]
 fn google_trace_sufficiency() {
-    let t = GoogleTrace::generate(&GoogleTraceConfig::default(), &mut SimRng::new(99));
+    let t = GoogleTrace::generate(&mut SimRng::new(99));
     let frac = t.lead_time_sufficiency();
     assert!((frac - 0.81).abs() < 0.03, "sufficiency {frac}");
 }

@@ -34,9 +34,8 @@ fn table1_renders_and_writes_csv() {
     let dir = out_dir("t1");
     let mut r = Report::new(&dir);
     let s = r.table1();
-    assert_eq!(s.id, "table1");
-    assert!(s.text.contains("HDFS"));
-    assert!(s.text.contains("Ignem"));
+    assert!(s.contains("HDFS"));
+    assert!(s.contains("Ignem"));
     let csv = std::fs::read_to_string(dir.join("table1_swim_job_duration.csv")).unwrap();
     assert!(csv.starts_with("config,mean_job_secs,speedup_vs_hdfs_pct"));
     assert_eq!(csv.lines().count(), 4);
@@ -47,8 +46,8 @@ fn report_generation_is_reproducible() {
     let (da, db) = (out_dir("a"), out_dir("b"));
     let mut a = Report::new(&da);
     let mut b = Report::new(&db);
-    assert_eq!(a.table1().text, b.table1().text);
-    assert_eq!(a.fig3().text, b.fig3().text);
+    assert_eq!(a.table1(), b.table1());
+    assert_eq!(a.fig3(), b.fig3());
     let ca = std::fs::read_to_string(da.join("fig3_read_to_lead_cdf.csv")).unwrap();
     let cb = std::fs::read_to_string(db.join("fig3_read_to_lead_cdf.csv")).unwrap();
     assert_eq!(ca, cb);
@@ -58,10 +57,10 @@ fn report_generation_is_reproducible() {
 fn ablation_sections_render() {
     let mut r = Report::new(out_dir("abl"));
     let s = r.ablation_eviction();
-    assert!(s.text.contains("explicit"));
-    assert!(s.text.contains("implicit"));
+    assert!(s.contains("explicit"));
+    assert!(s.contains("implicit"));
     let s = r.extension_caching();
-    assert!(s.text.contains("LRU cache"));
+    assert!(s.contains("LRU cache"));
 }
 
 /// FNV-1a folded over little-endian `u64` words.
@@ -216,9 +215,9 @@ fn report_world_hashes() -> [(&'static str, u64); 8] {
     );
 
     let fig3 = report.fig3();
-    let fig3 = section_hash(&fig3.text, &dir.join("fig3_read_to_lead_cdf.csv"));
+    let fig3 = section_hash(&fig3, &dir.join("fig3_read_to_lead_cdf.csv"));
     let fig4 = report.fig4();
-    let fig4 = section_hash(&fig4.text, &dir.join("fig4_disk_utilization.csv"));
+    let fig4 = section_hash(&fig4, &dir.join("fig4_disk_utilization.csv"));
 
     [
         ("fig1-2", micro),
@@ -360,7 +359,7 @@ fn numbers(text: &str) -> impl Iterator<Item = &str> {
         .filter(|s| !s.is_empty())
 }
 
-/// A table row of EXPERIMENTS.md: its line number, the report section it
+/// A table row of a Markdown file: its line number, the report section it
 /// names and its measured cells.
 struct MeasuredRow<'a> {
     line: usize,
@@ -368,11 +367,11 @@ struct MeasuredRow<'a> {
     cells: Vec<&'a str>,
 }
 
-/// Every table row of `md`. Each row must name exactly one report section
-/// by its id in backticks. Its measured cells are those under a
+/// Every table row of `md`, the text of the file `name`. Each row must
+/// name exactly one report section by its id in backticks. Its measured cells are those under a
 /// `Measured` or `Result` header; in a table with neither (the Fig. 8
 /// series), every cell but the one that names the section.
-fn measured_rows(md: &str) -> Vec<MeasuredRow<'_>> {
+fn measured_rows<'a>(name: &str, md: &'a str) -> Vec<MeasuredRow<'a>> {
     let mut rows = Vec::new();
     let mut header: Option<Vec<&str>> = None;
     for (i, line) in md.lines().enumerate() {
@@ -405,7 +404,7 @@ fn measured_rows(md: &str) -> Vec<MeasuredRow<'_>> {
             .collect();
         let [(at, section)] = named[..] else {
             panic!(
-                "EXPERIMENTS.md:{}: a table row must name one report section in backticks, \
+                "{name}:{}: a table row must name one report section in backticks, \
                  found {named:?}: {line}",
                 i + 1
             );
@@ -435,19 +434,63 @@ fn measured_rows(md: &str) -> Vec<MeasuredRow<'_>> {
     rows
 }
 
+/// README.md with every line blanked but the rows of its "Headline
+/// results" table, so that the table keeps its line numbers.
+fn headline_table(readme: &str) -> String {
+    let mut in_section = false;
+    readme
+        .lines()
+        .map(|line| {
+            if line.starts_with("## ") {
+                in_section = line.starts_with("## Headline results");
+            }
+            if in_section && line.starts_with('|') {
+                line
+            } else {
+                ""
+            }
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// The numbers in the measured cells of `md`, the text of the file
+/// `name`, that the section their row names does not print.
+fn unprinted_numbers(name: &str, md: &str, texts: &BTreeMap<&str, &str>) -> Vec<String> {
+    let rows = measured_rows(name, md);
+    assert!(!rows.is_empty(), "{name} has no measured rows");
+    let mut missing = Vec::new();
+    for row in &rows {
+        let printed: BTreeSet<&str> = numbers(texts[row.section]).collect();
+        let cited: Vec<&str> = row.cells.iter().flat_map(|c| numbers(c)).collect();
+        assert!(
+            !cited.is_empty(),
+            "{name}:{}: measured cells hold no number: {:?}",
+            row.line,
+            row.cells
+        );
+        for n in cited {
+            if !printed.contains(n) {
+                missing.push(format!(
+                    "{name}:{}: {n} is not in section `{}`",
+                    row.line, row.section
+                ));
+            }
+        }
+    }
+    missing
+}
+
 /// Runs every section once and holds the committed paper numbers to it:
 /// each committed `results/*.csv` must equal the fresh run's file byte for
 /// byte (and the run may write no CSV that is not committed), and every
-/// number in an EXPERIMENTS.md measured cell must appear in the text of
-/// the section its row names.
+/// number in a measured cell of EXPERIMENTS.md, or of README.md's
+/// headline table, must appear in the text of the section its row names.
 #[test]
 fn results_and_experiments_match_a_fresh_report() {
     let dir = out_dir("all");
     let _ = std::fs::remove_dir_all(&dir);
     let sections = Report::new(&dir).all();
-    let ids: Vec<&str> = sections.iter().map(|s| s.id).collect();
-    let table: Vec<&str> = SECTIONS.iter().map(|&(id, _)| id).collect();
-    assert_eq!(ids, table, "a section's id differs from its SECTIONS entry");
 
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let fresh = paper_csvs(&dir);
@@ -467,32 +510,22 @@ fn results_and_experiments_match_a_fresh_report() {
         "committed results/ differ from a fresh report run: {stale:?}"
     );
 
-    let md = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("read EXPERIMENTS.md");
-    let rows = measured_rows(&md);
-    assert!(!rows.is_empty(), "EXPERIMENTS.md has no measured rows");
-    let texts: BTreeMap<&str, &str> = sections.iter().map(|s| (s.id, s.text.as_str())).collect();
-    let mut missing = Vec::new();
-    for row in &rows {
-        let printed: BTreeSet<&str> = numbers(texts[row.section]).collect();
-        let cited: Vec<&str> = row.cells.iter().flat_map(|c| numbers(c)).collect();
-        assert!(
-            !cited.is_empty(),
-            "EXPERIMENTS.md:{}: measured cells hold no number: {:?}",
-            row.line,
-            row.cells
-        );
-        for n in cited {
-            if !printed.contains(n) {
-                missing.push(format!(
-                    "EXPERIMENTS.md:{}: {n} is not in section `{}`",
-                    row.line, row.section
-                ));
-            }
-        }
-    }
+    let read = |name: &str| {
+        std::fs::read_to_string(root.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"))
+    };
+    let texts: BTreeMap<&str, &str> = sections
+        .iter()
+        .map(|(id, text)| (*id, text.as_str()))
+        .collect();
+    let mut missing = unprinted_numbers("EXPERIMENTS.md", &read("EXPERIMENTS.md"), &texts);
+    missing.extend(unprinted_numbers(
+        "README.md",
+        &headline_table(&read("README.md")),
+        &texts,
+    ));
     assert!(
         missing.is_empty(),
-        "EXPERIMENTS.md cites numbers the report does not print:\n{}",
+        "the docs cite numbers the report does not print:\n{}",
         missing.join("\n")
     );
 }
