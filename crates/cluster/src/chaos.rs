@@ -67,6 +67,7 @@ use ignem_simcore::units::MIB;
 use crate::config::{ClusterConfig, FsMode};
 use crate::explain::{LossCause, TelemetryReport};
 use crate::metrics::RunMetrics;
+use crate::sanitizer::{fnv1a, FNV_OFFSET};
 use crate::world::{Fault, PlannedJob, World, WorldSnapshot};
 
 /// Parameters of one chaos experiment. Everything downstream — workload,
@@ -471,15 +472,13 @@ pub fn fingerprint(m: &RunMetrics) -> u64 {
     struct Fnv(u64);
     impl Fnv {
         fn u64(&mut self, x: u64) {
-            for b in x.to_le_bytes() {
-                self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-            }
+            self.0 = fnv1a(self.0, &x.to_le_bytes());
         }
         fn f64(&mut self, x: f64) {
             self.u64(x.to_bits());
         }
     }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv(FNV_OFFSET);
     h.u64(m.makespan.as_micros());
     h.u64(m.jobs.len() as u64);
     for j in &m.jobs {
@@ -547,7 +546,7 @@ pub fn fingerprint(m: &RunMetrics) -> u64 {
     h.u64(m.rerep_gave_up);
     h.u64(m.crashes);
     h.u64(m.restarts);
-    h.u64(m.block_reports);
+    h.u64(ms.registrations); // the slot of the block-report count, which always equalled it
     h.u64(m.reignited_jobs);
     h.u64(m.recovery.is_some() as u64);
     h.u64(0); // the retired speculation counter's slot, kept so pins hold

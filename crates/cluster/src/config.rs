@@ -60,12 +60,13 @@ pub struct ClusterConfig {
     /// flushes caches before runs; the `extension-caching` experiment turns
     /// it on to show why caching alone cannot help singly-read data.
     pub cache_reads: bool,
-    /// Replace per-node heartbeat chains with one cluster-wide sweep per
-    /// heartbeat interval (rotating start node, short-circuited when no
-    /// tasks are pending). At 12k nodes per-node chains alone are ~10^10
-    /// events per simulated month; the sweep makes datacenter-scale runs
-    /// feasible. Off by default: the paper-scale worlds keep per-node
-    /// beats so every pinned stream is untouched.
+    /// Picks the heartbeat layout and nothing else: one chain per node
+    /// (off, the paper-scale worlds and every pinned stream) or one
+    /// rotating beat for the whole cluster per interval (on). Both run the
+    /// same heartbeat handler. At 12k nodes per-node chains alone are
+    /// ~10^10 events per simulated month; one group makes datacenter-scale
+    /// runs feasible. The field stays only because the benchmark package
+    /// sets it; it goes when that package no longer does.
     pub heartbeat_sweep: bool,
     /// Root seed: every run with the same seed and inputs is bit-identical.
     pub seed: u64,

@@ -29,10 +29,10 @@
 //! and the migration service time spent on the job's own blocks.
 
 use ignem_simcore::span::{CriticalPath, SpanForest};
-use ignem_simcore::telemetry::{EventRecord, ReadClass};
+use ignem_simcore::telemetry::{EventRecord, ReadKind};
 use ignem_simcore::time::{SimDuration, SimTime};
 
-use crate::metrics::{ReadKind, RunMetrics};
+use crate::metrics::RunMetrics;
 
 /// Why a block read lost the migration race, ordered by how far the
 /// migration got before the read started (furthest first).
@@ -234,7 +234,7 @@ impl TelemetryReport {
                 bytes: r.bytes,
                 read_start: r.start,
                 verdict: match r.class {
-                    ReadClass::Memory => Verdict::WonRace {
+                    ReadKind::Memory => Verdict::WonRace {
                         margin: forest
                             .blocks
                             .get(&(r.node, r.block))
@@ -242,7 +242,7 @@ impl TelemetryReport {
                             .map(|done| r.start.saturating_duration_since(done))
                             .unwrap_or(SimDuration::ZERO),
                     },
-                    ReadClass::LocalDisk | ReadClass::RemoteDisk => {
+                    ReadKind::LocalDisk | ReadKind::RemoteDisk => {
                         explain_disk_read(forest, r.job, r.block, r.start)
                     }
                 },
@@ -493,7 +493,7 @@ mod tests {
         }
     }
 
-    fn read(at_us: u64, class: ReadClass, duration_us: u64) -> Event {
+    fn read(at_us: u64, class: ReadKind, duration_us: u64) -> Event {
         let _ = at_us;
         Event::BlockRead {
             task: 1,
@@ -541,7 +541,7 @@ mod tests {
         }
         // Read starts at t=10_000 (completes 12_000 after 2_000us); the
         // migration completed at t=4_000 → margin 6_000us.
-        events.push(rec(4, 12_000, read(12_000, ReadClass::Memory, 2_000)));
+        events.push(rec(4, 12_000, read(12_000, ReadKind::Memory, 2_000)));
         let report = TelemetryReport::from_events(&events);
         assert_eq!(report.won(), 1);
         assert_eq!(
@@ -554,7 +554,7 @@ mod tests {
 
     #[test]
     fn unassigned_block_is_never_scheduled() {
-        let events = vec![rec(0, 5_000, read(5_000, ReadClass::LocalDisk, 1_000))];
+        let events = vec![rec(0, 5_000, read(5_000, ReadKind::LocalDisk, 1_000))];
         let report = TelemetryReport::from_events(&events);
         assert_eq!(report.lost_with(LossCause::NeverScheduled), 1);
     }
@@ -572,7 +572,7 @@ mod tests {
                     bytes: 64,
                 },
             ),
-            rec(1, 9_000, read(9_000, ReadClass::LocalDisk, 1_000)),
+            rec(1, 9_000, read(9_000, ReadKind::LocalDisk, 1_000)),
         ];
         let report = TelemetryReport::from_events(&events);
         assert_eq!(report.lost_with(LossCause::RpcLost), 1);
@@ -619,7 +619,7 @@ mod tests {
                 },
             ),
             // Read starts at 4_000 while the migration is still on disk…
-            rec(3, 5_000, read(5_000, ReadClass::LocalDisk, 1_000)),
+            rec(3, 5_000, read(5_000, ReadKind::LocalDisk, 1_000)),
             // …and it finally lands at 7_000: shortfall 3_000.
             rec(
                 4,
@@ -664,7 +664,7 @@ mod tests {
                     bytes: 64,
                 },
             ),
-            rec(2, 5_000, read(5_000, ReadClass::LocalDisk, 1_000)),
+            rec(2, 5_000, read(5_000, ReadKind::LocalDisk, 1_000)),
         ];
         let report = TelemetryReport::from_events(&events);
         assert_eq!(
@@ -692,7 +692,7 @@ mod tests {
                 bytes: 64,
             },
         ));
-        events.push(rec(5, 10_000, read(10_000, ReadClass::LocalDisk, 1_000)));
+        events.push(rec(5, 10_000, read(10_000, ReadKind::LocalDisk, 1_000)));
         let report = TelemetryReport::from_events(&events);
         assert_eq!(
             report.verdicts[0].verdict,
@@ -722,7 +722,7 @@ mod tests {
                 bytes: 64,
             },
         ));
-        events.push(rec(6, 10_000, read(10_000, ReadClass::LocalDisk, 1_000)));
+        events.push(rec(6, 10_000, read(10_000, ReadKind::LocalDisk, 1_000)));
         let report = TelemetryReport::from_events(&events);
         assert_eq!(
             report.verdicts[0].verdict,
@@ -752,7 +752,7 @@ mod tests {
                 bytes: 64,
             },
         ));
-        events.push(rec(6, 10_000, read(10_000, ReadClass::LocalDisk, 1_000)));
+        events.push(rec(6, 10_000, read(10_000, ReadKind::LocalDisk, 1_000)));
         let report = TelemetryReport::from_events(&events);
         assert_eq!(report.lost_with(LossCause::Evicted), 1);
         assert_eq!(report.lost_with(LossCause::LostToCrash), 0);
@@ -886,7 +886,7 @@ mod tests {
 
     #[test]
     fn reconcile_spots_count_drift() {
-        let events = vec![rec(0, 5_000, read(5_000, ReadClass::Memory, 1_000))];
+        let events = vec![rec(0, 5_000, read(5_000, ReadKind::Memory, 1_000))];
         let report = TelemetryReport::from_events(&events);
         let mut metrics = RunMetrics::default();
         assert!(report.reconcile(&metrics).is_err());

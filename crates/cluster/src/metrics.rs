@@ -7,27 +7,7 @@ use ignem_netsim::rpc::RpcStats;
 use ignem_simcore::stats::Samples;
 use ignem_simcore::time::SimTime;
 
-/// Where a block read was served from (collapsed from the DFS planner's
-/// [`ReadSource`](ignem_dfs::client::ReadSource) for reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReadKind {
-    /// Local or remote memory.
-    Memory,
-    /// Local disk.
-    LocalDisk,
-    /// Remote disk over the network.
-    RemoteDisk,
-}
-
-impl std::fmt::Display for ReadKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadKind::Memory => write!(f, "memory"),
-            ReadKind::LocalDisk => write!(f, "local-disk"),
-            ReadKind::RemoteDisk => write!(f, "remote-disk"),
-        }
-    }
-}
+pub use ignem_simcore::telemetry::ReadKind;
 
 /// One completed map-input block read (Fig. 1 / Fig. 6 raw data).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,8 +177,6 @@ pub struct RunMetrics {
     pub crashes: u64,
     /// Crashed nodes that came back up and restarted their slave.
     pub restarts: u64,
-    /// Block reports absorbed by the NameNode from re-registering nodes.
-    pub block_reports: u64,
     /// Migrate requests re-issued for still-live jobs after a node
     /// re-registered (crash-recovery "re-ignition").
     pub reignited_jobs: u64,

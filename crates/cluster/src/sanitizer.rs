@@ -1,18 +1,16 @@
-//! Runtime determinism sanitizer: double-run a world, hash the telemetry
-//! event stream per step, and bisect any divergence to the first
+//! Runtime determinism sanitizer: double-run a world, compare the two
+//! telemetry event streams record by record, and report the first
 //! differing event.
 //!
 //! The static rules in `ignem-lint` ban the *patterns* that break
 //! same-seed replay; this module checks the *property* itself at runtime.
-//! [`double_run_forked`] runs two worlds built by the same closure, and
-//! each event stream is folded into a
-//! per-step FNV-1a hash chain over the events' canonical JSON
-//! ([`EventRecord::to_json`] is float-free, so the chain is bit-stable
-//! across platforms). Because the chain at step `i` commits to the whole
-//! prefix, equal chains at `i` mean equal histories — which is what makes
-//! [`bisect_divergence`] a binary search rather than a linear scan, and
-//! what lets a CI failure report *the* first diverging event seq instead
-//! of "streams differ".
+//! [`double_run_forked`] runs two worlds built by the same closure and
+//! [`first_divergence`] finds the first record at which their streams
+//! differ, so a CI failure reports *the* first diverging event seq instead
+//! of "streams differ". [`hash_chain`] folds a stream into a per-step
+//! FNV-1a chain over the events' canonical JSON ([`EventRecord::to_json`]
+//! is float-free, so the chain is bit-stable across platforms); the golden
+//! stream pins compare its last entry.
 //!
 //! The flight recorder is a bounded ring, so both runs use the same
 //! capacity; a nonzero eviction count is reported rather than silently
@@ -25,11 +23,12 @@ use crate::metrics::RunMetrics;
 use crate::world::World;
 
 /// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// 64-bit FNV-1a prime.
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into the 64-bit FNV-1a state `h`.
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -109,39 +108,17 @@ impl Divergence {
     }
 }
 
-/// Finds the first diverging event between two streams, or `None` if they
-/// are identical. Binary-searches the per-step hash chains: a chain entry
-/// commits to its whole prefix, so "chains equal at `i`" is monotone in
-/// `i` and the first mismatch is the first diverging event.
-pub fn bisect_divergence(a: &[EventRecord], b: &[EventRecord]) -> Option<Divergence> {
-    let ca = hash_chain(a);
-    let cb = hash_chain(b);
-    let n = ca.len().min(cb.len());
-    let index = if n > 0 && ca[n - 1] == cb[n - 1] {
-        // Shared prefix is clean; divergence only if one stream is longer.
-        if a.len() == b.len() {
-            return None;
-        }
-        n
-    } else if n == 0 {
-        if a.len() == b.len() {
-            return None;
-        }
-        0
-    } else {
-        // Invariant: every chain entry < lo matches, some entry <= hi
-        // mismatches. Narrow to the first mismatching step.
-        let (mut lo, mut hi) = (0usize, n - 1);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if ca[mid] == cb[mid] {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    };
+/// Finds the first event at which two streams differ, or `None` if they
+/// are identical. A stream that ends early diverges where it ends.
+pub fn first_divergence(a: &[EventRecord], b: &[EventRecord]) -> Option<Divergence> {
+    let index = a
+        .iter()
+        .zip(b)
+        .position(|(x, y)| x != y)
+        .unwrap_or(a.len().min(b.len()));
+    if index == a.len() && index == b.len() {
+        return None;
+    }
     Some(Divergence {
         index,
         first: a.get(index).cloned(),
@@ -254,7 +231,7 @@ where
     let dropped_a = recorder.dropped();
 
     let (metrics_b, events_b, dropped_b) = build().run_recorded(capacity);
-    let divergence = bisect_divergence(&events_a, &events_b);
+    let divergence = first_divergence(&events_a, &events_b);
 
     // Fork target: the divergence when there is one, else the end of the
     // stream. Restore the latest snapshot at or before it that still
@@ -277,7 +254,7 @@ where
     let _ = world.finalize_mut();
     let suffix = fork_rec.events();
     let suffix_consistent =
-        fork_rec.dropped() == 0 && bisect_divergence(&events_a[fork_at..], &suffix).is_none();
+        fork_rec.dropped() == 0 && first_divergence(&events_a[fork_at..], &suffix).is_none();
 
     ForkedDoubleRun {
         run: DoubleRun {
@@ -316,18 +293,18 @@ mod tests {
     #[test]
     fn identical_streams_have_no_divergence() {
         let a: Vec<EventRecord> = (0..100).map(|i| rec(i, i * 10, 1)).collect();
-        assert!(bisect_divergence(&a, &a.clone()).is_none());
-        assert!(bisect_divergence(&[], &[]).is_none());
+        assert!(first_divergence(&a, &a.clone()).is_none());
+        assert!(first_divergence(&[], &[]).is_none());
     }
 
     #[test]
-    fn injected_divergence_bisects_to_exact_seq() {
+    fn injected_divergence_is_found_at_its_exact_seq() {
         let a: Vec<EventRecord> = (0..500).map(|i| rec(i, i * 10, 1)).collect();
         for inject_at in [0usize, 1, 250, 499] {
             let mut b = a.clone();
             // Artificial divergence: same seq, different payload.
             b[inject_at] = rec(inject_at as u64, inject_at as u64 * 10, 9);
-            let d = bisect_divergence(&a, &b).expect("must diverge");
+            let d = first_divergence(&a, &b).expect("must diverge");
             assert_eq!(d.index, inject_at, "first diverging index");
             assert_eq!(d.seq(), Some(inject_at as u64), "first diverging seq");
             assert_eq!(d.common_len, inject_at);
@@ -338,7 +315,7 @@ mod tests {
     fn truncated_stream_diverges_at_the_cut() {
         let a: Vec<EventRecord> = (0..50).map(|i| rec(i, i * 10, 1)).collect();
         let b = a[..37].to_vec();
-        let d = bisect_divergence(&a, &b).expect("length mismatch diverges");
+        let d = first_divergence(&a, &b).expect("length mismatch diverges");
         assert_eq!(d.index, 37);
         assert!(d.first.is_some());
         assert!(d.second.is_none());
@@ -350,7 +327,7 @@ mod tests {
         let a: Vec<EventRecord> = (0..10).map(|i| rec(i, i * 10, 1)).collect();
         let mut b = a.clone();
         b[6] = rec(6, 60, 2);
-        let d = bisect_divergence(&a, &b).expect("diverges");
+        let d = first_divergence(&a, &b).expect("diverges");
         let text = d.describe(&a[..d.common_len]);
         assert!(text.contains("divergence at event index 6"));
         assert!(text.contains("run A:"));

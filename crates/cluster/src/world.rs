@@ -105,7 +105,7 @@ use ignem_simcore::profile::HostProfiler;
 use ignem_simcore::rng::SimRng;
 use ignem_simcore::stats::TimeWeighted;
 use ignem_simcore::telemetry::{
-    Event as TelemetryEvent, EventRecord, EventSink, FlightRecorder, ReadClass, Telemetry,
+    Event as TelemetryEvent, EventRecord, EventSink, FlightRecorder, Telemetry,
 };
 use ignem_simcore::time::{SimDuration, SimTime};
 use ignem_simcore::units::GB;
@@ -124,6 +124,19 @@ const CLEANUP_SWEEP: SimDuration = SimDuration::from_secs(30);
 /// RAM per server: the testbed's 128 GB, which holds the migration buffer,
 /// pinned inputs and the page cache.
 const MEM_CAPACITY: u64 = 128 * GB;
+
+/// Nodes per heartbeat group, a contiguous range of nodes that one
+/// [`Event::Heartbeat`] chain serves. Paper-scale worlds give every node
+/// its own chain; [`ClusterConfig::heartbeat_sweep`] makes the whole
+/// cluster one group, so a 12k-node month schedules one beat per interval
+/// instead of one per node.
+fn heartbeat_group_size(cfg: &ClusterConfig) -> usize {
+    if cfg.heartbeat_sweep {
+        cfg.nodes
+    } else {
+        1
+    }
+}
 
 /// One workload entry: a job (or multi-stage query) with a submission time.
 #[derive(Debug, Clone)]
@@ -223,7 +236,9 @@ pub enum Fault {
 enum Event {
     Submit(usize),
     Queued(JobId),
-    Heartbeat(u32),
+    /// One beat of a heartbeat group: `(group, round)`, where the round
+    /// rotates the node the beat starts from (see [`World::on_heartbeat`]).
+    Heartbeat(u32, u64),
     /// Completion timer of one node's storage device (generation-guarded).
     IoTimer(Device, u32, u64),
     NetTimer(u64),
@@ -260,10 +275,6 @@ enum Event {
     /// plan lives in `World::next_arrival` (exactly one `Arrival` event is
     /// in flight whenever that field is `Some`).
     Arrival,
-    /// One cluster-wide heartbeat round (carries the round counter for the
-    /// rotating start offset); replaces per-node [`Event::Heartbeat`]
-    /// chains when [`ClusterConfig::heartbeat_sweep`] is on.
-    HeartbeatSweep(u64),
     Inject(usize),
 }
 
@@ -295,7 +306,6 @@ impl Event {
             Event::RerepRetry(..) => "rerep_retry",
             Event::CleanupSweep => "cleanup_sweep",
             Event::Arrival => "arrival",
-            Event::HeartbeatSweep(..) => "heartbeat_sweep",
             Event::Inject(..) => "inject",
         }
     }
@@ -384,9 +394,10 @@ struct NodeColumns {
     crashed_down: BitCol,
     /// Nodes that crashed at least once; invariant 8 audits exactly these.
     crashed_ever: BitCol,
-    /// Whether node `n`'s heartbeat chain is still self-rescheduling; a
-    /// chain dies when a beat fires on a dead node, and a restart re-arms
-    /// it exactly once (two chains would double task assignment).
+    /// Whether heartbeat group `g` is still self-rescheduling, indexed by
+    /// group (see [`heartbeat_group_size`]); a group stops when a beat
+    /// finds all its nodes dead, and a restart re-arms it exactly once
+    /// (two chains would double task assignment).
     hb_live: BitCol,
     /// Control-plane pause end (gray fault); `SimTime::MAX` = responsive.
     paused_until: Vec<SimTime>,
@@ -408,12 +419,12 @@ struct NodeColumns {
 }
 
 impl NodeColumns {
-    fn new(nodes: usize) -> Self {
+    fn new(nodes: usize, heartbeat_groups: usize) -> Self {
         NodeColumns {
             alive: BitCol::new(nodes, true),
             crashed_down: BitCol::new(nodes, false),
             crashed_ever: BitCol::new(nodes, false),
-            hb_live: BitCol::new(nodes, true),
+            hb_live: BitCol::new(heartbeat_groups, true),
             paused_until: vec![SimTime::MAX; nodes],
             io_gen: vec![0; 2 * nodes],
             lease_gen: vec![0; nodes],
@@ -637,16 +648,12 @@ impl World {
             p.stages.iter().for_each(JobSpec::validate);
             engine.schedule_at(SimTime::ZERO + p.submit, Event::Submit(i));
         }
+        // Heartbeat groups beat at staggered phases across the interval.
         let hb = cfg.compute.heartbeat;
-        if cfg.heartbeat_sweep {
-            // Datacenter scale: one sweep event per interval for the whole
-            // cluster instead of `nodes` staggered chains.
-            engine.schedule_at(SimTime::ZERO, Event::HeartbeatSweep(0));
-        } else {
-            for n in 0..cfg.nodes {
-                let offset = SimDuration::from_micros(hb.as_micros() * n as u64 / cfg.nodes as u64);
-                engine.schedule_at(SimTime::ZERO + offset, Event::Heartbeat(n as u32));
-            }
+        let groups = cfg.nodes.div_ceil(heartbeat_group_size(&cfg));
+        for g in 0..groups {
+            let offset = SimDuration::from_micros(hb.as_micros() * g as u64 / groups as u64);
+            engine.schedule_at(SimTime::ZERO + offset, Event::Heartbeat(g as u32, 0));
         }
         for (i, (at, _)) in faults.iter().enumerate() {
             engine.schedule_at(*at, Event::Inject(i));
@@ -675,7 +682,7 @@ impl World {
             mems,
             devices,
             net,
-            cols: NodeColumns::new(cfg.nodes),
+            cols: NodeColumns::new(cfg.nodes, groups),
             rpc: RpcChannel::new(cfg.rpc),
             rpc_rng,
             validate: false,
@@ -897,7 +904,7 @@ impl World {
     /// metrics, the recorded event stream and the number of records the
     /// ring had to evict. The determinism sanitizer
     /// ([`crate::sanitizer`]) runs two identically-built worlds through
-    /// this and bisects any divergence between the two streams.
+    /// this and finds the first divergence between the two streams.
     ///
     /// # Panics
     ///
@@ -1048,7 +1055,7 @@ impl World {
                 "  node{n}: {status} inc={:?} hb={} mem={}/{} \
                  migrated={mig_n}x{mig_b}B pinned={pin_n}x{pin_b}B cached={cache_n}x{cache_b}B",
                 slave.incarnation(),
-                if self.cols.hb_live.get(n) {
+                if self.cols.hb_live.get(n / heartbeat_group_size(&self.cfg)) {
                     "live"
                 } else {
                     "down"
@@ -1141,7 +1148,7 @@ impl World {
         match ev {
             Event::Submit(plan) => self.on_submit(plan),
             Event::Queued(job) => self.on_queued(job),
-            Event::Heartbeat(n) => self.on_heartbeat(n),
+            Event::Heartbeat(group, round) => self.on_heartbeat(group, round),
             Event::IoTimer(device, n, gen) => self.on_io_timer(device, n, gen),
             Event::NetTimer(gen) => self.on_net_timer(gen),
             Event::TaskLaunched(t) => self.on_task_launched(t),
@@ -1168,7 +1175,6 @@ impl World {
             Event::RerepRetry(gen) => self.on_rerep_retry(gen),
             Event::CleanupSweep => self.on_cleanup_sweep(),
             Event::Arrival => self.on_arrival(),
-            Event::HeartbeatSweep(round) => self.on_heartbeat_sweep(round),
             Event::Inject(i) => self.on_inject(i),
         }
     }
@@ -1385,54 +1391,41 @@ impl World {
     // Scheduling
     // ------------------------------------------------------------------
 
-    fn on_heartbeat(&mut self, n: u32) {
-        if !self.cols.alive.get(n as usize) {
-            // The chain dies here; a crash-restart re-arms it exactly once.
-            self.cols.hb_live.set(n as usize, false);
+    /// One beat of heartbeat group `group`: visits the group's live,
+    /// unpaused nodes that have a free slot, in rotating order from
+    /// `round`, and fills their slots, until no task is pending. The
+    /// rotation keeps slot priority fair across rounds the way staggered
+    /// chains are fair in expectation; the pending-task check skips the
+    /// walk on quiet beats, which at 12k nodes is nearly all of them. A
+    /// paused node misses its beat but its group keeps beating; a group
+    /// whose nodes are all dead stops, and a crash-restart re-arms it.
+    fn on_heartbeat(&mut self, group: u32, round: u64) {
+        let size = heartbeat_group_size(&self.cfg);
+        let first = group as usize * size;
+        let nodes = first..(first + size).min(self.cfg.nodes);
+        if !nodes.clone().any(|n| self.cols.alive.get(n)) {
+            self.cols.hb_live.set(group as usize, false);
             return;
         }
-        if self.cols.paused(n as usize).is_some() {
-            // A paused node misses its heartbeat (no new work assigned)
-            // but keeps beating once responsive again.
-            if self.work_remaining() {
-                self.engine
-                    .schedule_in(self.cfg.compute.heartbeat, Event::Heartbeat(n));
-            }
-            return;
-        }
-        self.assign_tasks(NodeId(n), false);
-        if self.work_remaining() {
-            self.engine
-                .schedule_in(self.cfg.compute.heartbeat, Event::Heartbeat(n));
-        }
-    }
-
-    /// One cluster-wide heartbeat round ([`ClusterConfig::heartbeat_sweep`]
-    /// mode): visits every live, unpaused node in rotating order and runs
-    /// the same per-beat assignment a node's own chain would. The rotation
-    /// (`round % nodes`) keeps slot priority fair across rounds the way
-    /// staggered chains are fair in expectation; the pending-task
-    /// short-circuit skips the whole O(nodes) walk on quiet rounds, which
-    /// at 12k nodes is nearly all of them.
-    fn on_heartbeat_sweep(&mut self, round: u64) {
-        let nodes = self.cfg.nodes;
-        let start = (round % nodes as u64) as usize;
-        for i in 0..nodes {
+        let start = (round % nodes.len() as u64) as usize;
+        for i in 0..nodes.len() {
             if !self.tracker.has_pending() {
                 break; // nothing left for any node's beat to assign
             }
-            let n = (start + i) % nodes;
-            if !self.cols.alive.get(n) || self.cols.paused(n).is_some() {
-                continue;
-            }
-            if self.slots.free(NodeId(n as u32)) == 0 {
+            let n = first + (start + i) % nodes.len();
+            if !self.cols.alive.get(n)
+                || self.cols.paused(n).is_some()
+                || self.slots.free(NodeId(n as u32)) == 0
+            {
                 continue;
             }
             self.assign_tasks(NodeId(n as u32), false);
         }
         if self.work_remaining() {
-            self.engine
-                .schedule_in(self.cfg.compute.heartbeat, Event::HeartbeatSweep(round + 1));
+            self.engine.schedule_in(
+                self.cfg.compute.heartbeat,
+                Event::Heartbeat(group, round + 1),
+            );
         }
     }
 
@@ -2283,11 +2276,7 @@ impl World {
                 block: b.0,
                 node: serving,
                 bytes,
-                class: match kind {
-                    ReadKind::Memory => ReadClass::Memory,
-                    ReadKind::LocalDisk => ReadClass::LocalDisk,
-                    ReadKind::RemoteDisk => ReadClass::RemoteDisk,
-                },
+                class: kind,
                 duration_us: now.duration_since(started).as_micros(),
             });
             self.mreg.observe(
@@ -2482,15 +2471,17 @@ impl World {
             incarnation: incarnation.0,
         });
         self.metrics.restarts += 1;
-        // Heartbeats: the node's chain died while it was dark; re-arm it
-        // once (guarded so a short outage that never dropped a beat does
-        // not end up with two concurrent chains).
-        if !self.cfg.heartbeat_sweep && self.work_remaining() && !self.cols.hb_live.get(idx) {
-            // In sweep mode the cluster-wide round covers restarted nodes
-            // automatically; only per-node chains need re-arming.
-            self.cols.hb_live.set(idx, true);
-            self.engine
-                .schedule_in(self.cfg.compute.heartbeat, Event::Heartbeat(n));
+        // Heartbeats: the node's group stopped if all its nodes went dark;
+        // re-arm it once (guarded so a short outage that never dropped a
+        // beat, or a group with a node still up, does not end up with two
+        // concurrent chains).
+        let group = idx / heartbeat_group_size(&self.cfg);
+        if self.work_remaining() && !self.cols.hb_live.get(group) {
+            self.cols.hb_live.set(group, true);
+            self.engine.schedule_in(
+                self.cfg.compute.heartbeat,
+                Event::Heartbeat(group as u32, 0),
+            );
         }
         self.send_register(n, 1);
     }
@@ -2545,7 +2536,6 @@ impl World {
         let blocks = self.namenode.blocks_on(NodeId(n)).len() as u64;
         self.telemetry
             .emit(|| TelemetryEvent::BlockReportReceived { node: n, blocks });
-        self.metrics.block_reports += 1;
         // Replicas lost in the crash may still be short (or a pending
         // deferral may have become satisfiable now that this node is back
         // as a target); re-examine.

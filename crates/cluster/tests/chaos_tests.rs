@@ -177,7 +177,7 @@ fn chaos_campaign_with_crashes() {
         let m = run_chaos(&cfg).metrics;
         crashes += m.crashes;
         restarts += m.restarts;
-        reports += m.block_reports;
+        reports += m.master_stats.registrations;
         assert_eq!(m.recovery, None, "seed {seed} did not converge");
     }
     // The campaign must have actually crashed machines, not vacuously
@@ -216,7 +216,6 @@ fn crash_recovery_pinned_regression() {
     assert_eq!(m.crashes, 1);
     // The full recovery loop ran exactly once and converged.
     assert_eq!(m.restarts, 1);
-    assert_eq!(m.block_reports, 1);
     assert_eq!(m.master_stats.registrations, 1);
     assert_eq!(m.recovery, None);
     // Re-ignition: a job that had migrated blocks on the crashed node got

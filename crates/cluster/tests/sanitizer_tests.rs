@@ -1,13 +1,13 @@
 //! Determinism sanitizer integration tests: double-run real worlds and
 //! assert bit-identical event streams (with the snapshot-forked suffix
-//! re-check reproducing run A's tail), then prove the bisector pinpoints
+//! re-check reproducing run A's tail), then prove the comparison pinpoints
 //! an injected divergence in a real recorded stream.
 
 mod common;
 
 use common::{chaos_world_304, chaos_world_crash_14, default_world, RECORDER_CAP};
 use ignem_cluster::chaos::fingerprint;
-use ignem_cluster::sanitizer::{bisect_divergence, double_run_forked};
+use ignem_cluster::sanitizer::{double_run_forked, first_divergence};
 use ignem_simcore::time::SimDuration;
 
 /// Emitted events between run A's snapshots.
@@ -67,15 +67,18 @@ fn double_run_crash_seed_is_deterministic() {
 }
 
 #[test]
-fn injected_divergence_in_real_stream_bisects_to_exact_seq() {
+fn injected_divergence_in_real_stream_is_found_at_its_exact_seq() {
     let (_, events, dropped) = default_world().run_recorded(RECORDER_CAP);
     assert_eq!(dropped, 0, "recorder must keep the whole run");
-    assert!(events.len() > 10, "stream too short to bisect meaningfully");
+    assert!(
+        events.len() > 10,
+        "stream too short to tamper with meaningfully"
+    );
     let inject_at = events.len() / 2;
     let mut tampered = events.clone();
     // Artificial divergence: shift the event's timestamp by one microsecond.
     tampered[inject_at].at += SimDuration::from_micros(1);
-    let d = bisect_divergence(&events, &tampered).expect("tampered stream must diverge");
+    let d = first_divergence(&events, &tampered).expect("tampered stream must diverge");
     assert_eq!(d.index, inject_at);
     assert_eq!(d.seq(), Some(events[inject_at].seq));
     let text = d.describe(&events[..d.common_len]);

@@ -374,14 +374,15 @@ fn trace_records_lifecycle() {
     assert_eq!(recorder.dropped(), 0);
     let events = recorder.events();
     assert!(!events.is_empty());
-    // Times are nondecreasing and all expected categories appear.
+    // Times are nondecreasing and the job, task and migration lifecycles
+    // all appear.
     for w in events.windows(2) {
         assert!(w[0].at <= w[1].at);
     }
-    for cat in ["job", "task", "migration"] {
+    for kind in ["job_submitted", "task_assigned", "migration_enqueued"] {
         assert!(
-            events.iter().any(|e| e.event.category() == cat),
-            "missing category {cat}"
+            events.iter().any(|e| e.event.kind() == kind),
+            "missing kind {kind}"
         );
     }
     // Submission precedes completion.
@@ -568,5 +569,37 @@ fn node_failure_after_a_kill_does_not_requeue_the_killed_jobs_tasks() {
                 .any(|e| matches!(e.event, Event::TaskAssigned { job: 0, .. })),
             "{fault:?}: a killed job's task was assigned again"
         );
+    }
+}
+
+#[test]
+fn heartbeat_sweep_recovers_from_node_crashes() {
+    // The sweep layout beats the whole cluster as one heartbeat group. A
+    // crashed node leaves the group beating; crashing every node stops it,
+    // and the first restart must re-arm it, or no task would be assigned
+    // again. The run is bounded so that a group left stopped fails here
+    // instead of spinning on cleanup sweeps.
+    let files = files_of(2 * GB, 4, "/in");
+    let plan = vec![
+        PlannedJob::single("a", SimDuration::from_secs(1), job(&files, true)),
+        PlannedJob::single("b", SimDuration::from_secs(2), job(&files, true)),
+    ];
+    let cfg = ClusterConfig {
+        heartbeat_sweep: true,
+        ..ClusterConfig::default()
+    };
+    let crash = |n| {
+        let outage = Fault::NodeCrash(NodeId(n), SimDuration::from_secs(10));
+        (SimTime::from_secs(10), outage)
+    };
+    for faults in [vec![crash(3)], (0..8).map(crash).collect()] {
+        let crashed = faults.len() as u64;
+        let mut world = World::new(cfg.clone(), FsMode::Ignem, &files, plan.clone(), faults);
+        while world.step() && world.now() < SimTime::from_secs(3600) {}
+        let m = world.finalize_mut();
+        assert_eq!(m.plans.len(), 2, "{crashed} node(s) crashed");
+        assert_eq!(m.crashes, crashed);
+        assert_eq!(m.restarts, crashed);
+        assert_eq!(m.recovery, None, "{crashed} node(s) crashed");
     }
 }

@@ -87,6 +87,19 @@ pub struct Lexed {
     pub directives: Vec<Directive>,
 }
 
+/// The token at `i`, if any.
+pub(crate) fn tok_at(tokens: &[Token], i: usize) -> Option<&Tok> {
+    tokens.get(i).map(|t| &t.tok)
+}
+
+/// The identifier at `i`, if the token there is one.
+pub(crate) fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
+    match tok_at(tokens, i) {
+        Some(Tok::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
 /// Lexes `src`, returning tokens and lint directives.
 pub fn lex(src: &str) -> Lexed {
     let b = src.as_bytes();

@@ -139,7 +139,8 @@ impl LintReport {
     }
 }
 
-fn json_escape_into(src: &str, out: &mut String) {
+/// Appends `src` to `out` as the body of a JSON string literal.
+pub(crate) fn json_escape_into(src: &str, out: &mut String) {
     for c in src.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -180,17 +181,21 @@ pub fn load_unit(rel: &str, source: &str) -> FileUnit {
     }
 }
 
+/// Whether an allow directive for `v`'s rule sits on its line (trailing
+/// comment) or the line directly above (comment above).
+fn is_allowed(v: &Violation, directives: &[Directive]) -> bool {
+    directives.iter().any(|d| match d {
+        Directive::Allow { line, rule, .. } => {
+            rule == v.rule && (*line == v.line || *line + 1 == v.line)
+        }
+        Directive::Malformed { .. } => false,
+    })
+}
+
 /// Removes violations suppressed by an allow directive on the same line or
 /// the line directly above.
 pub fn apply_allows(violations: &mut Vec<Violation>, directives: &[Directive]) {
-    violations.retain(|v| {
-        !directives.iter().any(|d| match d {
-            Directive::Allow { line, rule, .. } => {
-                rule == v.rule && (*line == v.line || *line + 1 == v.line)
-            }
-            Directive::Malformed { .. } => false,
-        })
-    });
+    violations.retain(|v| !is_allowed(v, directives));
 }
 
 /// The workspace root, derived from this crate's manifest dir at compile
@@ -300,21 +305,13 @@ pub fn analyze_units(units: &[FileUnit], docs: &[DocFile]) -> Vec<Violation> {
     let graph = symbols::build_call_graph(units, &syms);
     out.extend(reach::run_reach(units, &syms, &graph));
     // Allow filtering, per the file each violation anchors in.
-    let mut filtered = Vec::with_capacity(out.len());
-    for v in out {
-        let suppressed = units.iter().find(|u| u.rel == v.file).is_some_and(|u| {
-            u.lexed.directives.iter().any(|d| match d {
-                Directive::Allow { line, rule, .. } => {
-                    rule == v.rule && (*line == v.line || *line + 1 == v.line)
-                }
-                Directive::Malformed { .. } => false,
-            })
-        });
-        if !suppressed {
-            filtered.push(v);
-        }
-    }
-    filtered
+    out.retain(|v| {
+        !units
+            .iter()
+            .find(|u| u.rel == v.file)
+            .is_some_and(|u| is_allowed(v, &u.lexed.directives))
+    });
+    out
 }
 
 /// Analyzes the whole workspace under `root`: token rules + flow +

@@ -9,7 +9,7 @@
 //! function not parsed is a function not checked) rather than corrupting
 //! it. The known false-negative classes are documented in DESIGN.md §14.
 
-use crate::lexer::{Tok, Token};
+use crate::lexer::{ident_at, tok_at, Tok, Token};
 
 /// A parsed function (free function, impl method, or trait default method).
 #[derive(Debug, Clone)]
@@ -90,17 +90,6 @@ pub fn parse(tokens: &[Token]) -> ParsedFile {
     out
 }
 
-fn tok_at(tokens: &[Token], i: usize) -> Option<&Tok> {
-    tokens.get(i).map(|t| &t.tok)
-}
-
-fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
-    match tok_at(tokens, i) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 /// Skips a balanced delimiter run starting at `i` (which must sit on the
 /// opening delimiter); returns the index just past the matching closer.
 /// Only the *same* delimiter kind participates in the balance — Rust
@@ -150,7 +139,7 @@ fn skip_generics(tokens: &[Token], i: usize) -> usize {
 }
 
 /// Whether the attribute starting at `i` (a `#`) marks test-only code.
-fn is_test_attr(tokens: &[Token], i: usize) -> bool {
+pub(crate) fn is_test_attr(tokens: &[Token], i: usize) -> bool {
     let outer = tok_at(tokens, i + 1) == Some(&Tok::OpenBracket);
     if !outer {
         return false;

@@ -18,7 +18,7 @@
 //!   `dedup`/`swap_remove`/`split_off`/`take`) or reassignment of that
 //!   field anywhere — growth on a fault path with no visible cap.
 
-use crate::lexer::{Tok, Token};
+use crate::lexer::{ident_at, tok_at, Tok, Token};
 use crate::rules::Violation;
 use crate::symbols::{reachable, CallGraph, FileUnit, FnKey, Symbols};
 
@@ -67,17 +67,6 @@ const DRAIN_METHODS: &[&str] = &[
     "split_off",
     "take",
 ];
-
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn tok_at(toks: &[Token], i: usize) -> Option<&Tok> {
-    toks.get(i).map(|t| &t.tok)
-}
 
 /// Resolves the entry-point registry against the parsed workspace.
 pub fn resolve_entries(units: &[FileUnit]) -> Vec<FnKey> {

@@ -7,7 +7,8 @@
 //! rules, the bench harness gets D01 only, and everything else (bins,
 //! the linter itself) gets nothing.
 
-use crate::lexer::{Directive, Lexed, Tok, Token};
+use crate::lexer::{ident_at, tok_at, Directive, Lexed, Tok, Token};
+use crate::parse::is_test_attr;
 
 /// Crates whose code runs inside the deterministic simulation.
 pub const SIM_CRATES: &[&str] = &[
@@ -99,9 +100,7 @@ pub fn scope_for(rel: &str) -> Scope {
         d03: sim && rel != "crates/simcore/src/rng.rs",
         p01: P01_FILES.contains(&rel),
         f01: sim,
-        // `trace.rs` hosts `StderrSink`, the one sanctioned place library
-        // code may write to stderr (opted into explicitly by the caller).
-        t01: sim && rel != "crates/simcore/src/trace.rs",
+        t01: sim,
         d10: sim || crate_name == "bench",
     }
 }
@@ -144,16 +143,7 @@ pub fn check_file(rel: &str, lexed: &Lexed) -> Vec<Violation> {
         if scope.t01 {
             rule_t01(rel, &toks, &mut raw);
         }
-        // An allow suppresses a same-rule violation on its own line
-        // (trailing comment) or the line directly below (comment above).
-        raw.retain(|v| {
-            !lexed.directives.iter().any(|d| match d {
-                Directive::Allow { line, rule, .. } => {
-                    rule == v.rule && (*line == v.line || *line + 1 == v.line)
-                }
-                Directive::Malformed { .. } => false,
-            })
-        });
+        crate::apply_allows(&mut raw, &lexed.directives);
         out.extend(raw);
     }
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
@@ -177,23 +167,6 @@ fn strip_test_items(tokens: &[Token]) -> Vec<Token> {
         }
     }
     out
-}
-
-/// Whether the attribute starting at `i` (a `#`) is `#[cfg(test)]` or
-/// `#[test]`.
-fn is_test_attr(tokens: &[Token], i: usize) -> bool {
-    let ident =
-        |k: usize, s: &str| matches!(&tokens.get(k).map(|t| &t.tok), Some(Tok::Ident(n)) if n == s);
-    let tok = |k: usize, t: Tok| tokens.get(k).map(|x| x.tok.clone()) == Some(t);
-    if !tok(i + 1, Tok::OpenBracket) {
-        return false;
-    }
-    (ident(i + 2, "test") && tok(i + 3, Tok::CloseBracket))
-        || (ident(i + 2, "cfg")
-            && tok(i + 3, Tok::OpenParen)
-            && ident(i + 4, "test")
-            && tok(i + 5, Tok::CloseParen)
-            && tok(i + 6, Tok::CloseBracket))
 }
 
 /// Skips from a test attribute's `#` past the end of the item it decorates
@@ -238,17 +211,6 @@ fn skip_attributed_item(tokens: &[Token], mut i: usize) -> usize {
         i += 1;
     }
     i
-}
-
-fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
-    match tokens.get(i).map(|t| &t.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn tok_at(tokens: &[Token], i: usize) -> Option<&Tok> {
-    tokens.get(i).map(|t| &t.tok)
 }
 
 /// D01: wall-clock reads (`Instant::now`, any `SystemTime` use).
@@ -510,7 +472,7 @@ mod tests {
         assert!(!scope_for("crates/lint/src/lib.rs").any());
         assert!(!scope_for("crates/lint/src/lib.rs").d10);
         assert!(scope_for("crates/cluster/src/world.rs").t01);
-        assert!(!scope_for("crates/simcore/src/trace.rs").t01);
+        assert!(scope_for("crates/simcore/src/trace.rs").t01);
         assert!(!scope_for("crates/bench/src/report.rs").t01);
     }
 

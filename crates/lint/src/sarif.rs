@@ -6,20 +6,8 @@
 
 use std::collections::BTreeSet;
 
+use crate::json_escape_into;
 use crate::rules::Violation;
-
-fn esc(src: &str, out: &mut String) {
-    for c in src.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
 
 /// Renders a SARIF 2.1.0 document for `violations`.
 pub fn to_sarif(violations: &[Violation]) -> String {
@@ -46,9 +34,9 @@ pub fn to_sarif(violations: &[Violation]) -> String {
         s.push_str("{\"ruleId\":\"");
         s.push_str(v.rule);
         s.push_str("\",\"level\":\"error\",\"message\":{\"text\":\"");
-        esc(&v.message, &mut s);
+        json_escape_into(&v.message, &mut s);
         s.push_str("\"},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"");
-        esc(&v.file, &mut s);
+        json_escape_into(&v.file, &mut s);
         s.push_str("\"},\"region\":{\"startLine\":");
         s.push_str(&v.line.to_string());
         s.push_str("}}}]}");

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{Lexed, Tok, Token};
+use crate::lexer::{ident_at, tok_at, Lexed, Tok, Token};
 use crate::parse::ParsedFile;
 
 /// One lexed + parsed workspace file.
@@ -179,17 +179,6 @@ pub fn build_call_graph(units: &[FileUnit], syms: &Symbols) -> CallGraph {
         }
     }
     graph
-}
-
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn tok_at(toks: &[Token], i: usize) -> Option<&Tok> {
-    toks.get(i).map(|t| &t.tok)
 }
 
 fn extract_calls(body: &[Token], self_owner: Option<&str>, syms: &Symbols) -> Vec<Call> {

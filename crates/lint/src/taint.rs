@@ -33,7 +33,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{Tok, Token};
+use crate::lexer::{ident_at, tok_at, Tok, Token};
 use crate::rules::Violation;
 use crate::symbols::FileUnit;
 
@@ -70,17 +70,6 @@ pub fn build_summaries(units: &[FileUnit]) -> Summaries {
         }
     }
     s
-}
-
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn tok_at(toks: &[Token], i: usize) -> Option<&Tok> {
-    toks.get(i).map(|t| &t.tok)
 }
 
 /// Finds the first *direct* source in `toks[lo..hi]` — raw reads only, not

@@ -13,7 +13,6 @@
 //! * [`flow`] — fluid-flow processor-sharing resources with concurrency
 //!   degradation ([`flow::FlowResource`]): the disk/NIC model.
 //! * [`stats`] — CDFs, histograms, time-weighted series.
-//! * [`trace`] — category-filtered stderr sink ([`trace::StderrSink`]).
 //! * [`telemetry`] — typed event stream ([`telemetry::Event`]), flight
 //!   recorder with JSONL export.
 //! * [`span`] — causal span trees reconstructed from recorded streams,
@@ -53,7 +52,6 @@ pub mod span;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 pub mod units;
 
 /// Convenient glob-import of the most-used types.

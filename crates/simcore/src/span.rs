@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::telemetry::{Event, EventRecord, ReadClass};
+use crate::telemetry::{Event, EventRecord, ReadKind};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a span: the opening record's seq shifted left by four,
@@ -193,7 +193,7 @@ pub struct ReadRecord {
     /// Bytes read.
     pub bytes: u64,
     /// Where the bytes came from.
-    pub class: ReadClass,
+    pub class: ReadKind,
     /// When the read started (the record is stamped at its completion).
     pub start: SimTime,
 }

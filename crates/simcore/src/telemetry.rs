@@ -2,13 +2,9 @@
 //!
 //! Hosts emit typed [`Event`]s through a shared [`Telemetry`] handle, each
 //! stamped with the simulated time and a monotonic sequence number
-//! ([`EventRecord`]). Sinks implement [`EventSink`]; the built-in ones are
-//!
-//! * [`FlightRecorder`] — a bounded ring buffer with JSONL export, cheap
-//!   enough to leave on for a whole run and inspect afterwards;
-//! * [`StderrSink`](crate::trace::StderrSink) — prints each record as it
-//!   arrives, optionally filtered by [`Event::category`], for ad-hoc
-//!   debugging.
+//! ([`EventRecord`]). Sinks implement [`EventSink`]; the built-in one is
+//! [`FlightRecorder`], a bounded ring buffer with JSONL export, cheap
+//! enough to leave on for a whole run and inspect afterwards.
 //!
 //! Emission is zero-cost when no sink is installed: a disabled
 //! [`Telemetry`] handle is a `None` check and the event constructor
@@ -65,10 +61,11 @@ impl fmt::Display for Peer {
     }
 }
 
-/// Where a block read was served from (the telemetry mirror of the
-/// cluster layer's `ReadKind`, kept here so `simcore` stays dependency-free).
+/// Where a block read was served from: the DFS client's read source
+/// collapsed to three kinds, as the run metrics, the `block_read_us`
+/// histogram tags (`kind as u64`) and [`Event::BlockRead`] record it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReadClass {
+pub enum ReadKind {
     /// Local or remote memory.
     Memory,
     /// The reader's local disk.
@@ -77,13 +74,13 @@ pub enum ReadClass {
     RemoteDisk,
 }
 
-impl ReadClass {
-    /// Stable JSON tag for this class.
+impl ReadKind {
+    /// Stable JSON tag for this kind.
     pub fn tag(self) -> &'static str {
         match self {
-            ReadClass::Memory => "memory",
-            ReadClass::LocalDisk => "local_disk",
-            ReadClass::RemoteDisk => "remote_disk",
+            ReadKind::Memory => "memory",
+            ReadKind::LocalDisk => "local_disk",
+            ReadKind::RemoteDisk => "remote_disk",
         }
     }
 }
@@ -155,7 +152,7 @@ pub enum Event {
         /// Bytes read.
         bytes: u64,
         /// Serving medium.
-        class: ReadClass,
+        class: ReadKind,
         /// End-to-end read duration in microseconds.
         duration_us: u64,
     },
@@ -423,47 +420,6 @@ impl Event {
             Event::RereplicationDeferred { .. } => "rereplication_deferred",
             Event::FaultInjected { .. } => "fault_injected",
             Event::FaultHealed { .. } => "fault_healed",
-        }
-    }
-
-    /// Coarse category tag (`"job"`, `"task"`, `"migration"`, …) that
-    /// [`StderrSink`](crate::trace::StderrSink) filters on.
-    pub fn category(&self) -> &'static str {
-        match self {
-            Event::JobSubmitted { .. }
-            | Event::JobScheduled { .. }
-            | Event::JobCompleted { .. } => "job",
-            Event::TaskAssigned { .. } | Event::TaskStarted { .. } | Event::TaskFinished { .. } => {
-                "task"
-            }
-            Event::BlockRead { .. } => "read",
-            Event::MigrationRejected { .. }
-            | Event::MigrationAssigned { .. }
-            | Event::MigrationEnqueued { .. }
-            | Event::MigrationStarted { .. }
-            | Event::MigrationCompleted { .. }
-            | Event::MigrationWasted { .. }
-            | Event::MigrationDiscarded { .. }
-            | Event::MigrationCancelled { .. }
-            | Event::BlockEvicted { .. }
-            | Event::LeaseExpired { .. }
-            | Event::EpochRejected { .. }
-            | Event::IncarnationRejected { .. } => "migration",
-            Event::RpcSent { .. }
-            | Event::RpcDropped { .. }
-            | Event::RpcDuplicated { .. }
-            | Event::RpcCut { .. }
-            | Event::RpcRetried { .. }
-            | Event::RpcAcked { .. }
-            | Event::RpcGaveUp { .. } => "rpc",
-            Event::NodeCrashed { .. }
-            | Event::NodeRestarted { .. }
-            | Event::SlaveRegistered { .. }
-            | Event::BlockReportReceived { .. }
-            | Event::RereplicationStarted { .. }
-            | Event::RereplicationDeferred { .. }
-            | Event::FaultInjected { .. }
-            | Event::FaultHealed { .. } => "fault",
         }
     }
 
@@ -985,7 +941,7 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_has_consistent_kind_and_category() {
+    fn every_variant_has_a_unique_kind_and_json_tag() {
         let samples = vec![
             Event::JobSubmitted {
                 job: 0,
@@ -1019,7 +975,7 @@ mod tests {
                 block: 0,
                 node: 0,
                 bytes: 0,
-                class: ReadClass::Memory,
+                class: ReadKind::Memory,
                 duration_us: 0,
             },
             Event::MigrationRejected {
@@ -1124,7 +1080,6 @@ mod tests {
         let mut kinds = std::collections::BTreeSet::new();
         for ev in &samples {
             assert!(kinds.insert(ev.kind()), "duplicate kind {}", ev.kind());
-            assert!(!ev.category().is_empty());
             let json = EventRecord {
                 seq: 0,
                 at: SimTime::ZERO,
