@@ -10,13 +10,16 @@ use ignem_repro::bench::{Report, REPORT_SEED, SECTIONS};
 use ignem_repro::cluster::chaos::fingerprint;
 use ignem_repro::cluster::config::FsMode;
 use ignem_repro::cluster::experiment::{
-    run_hive, run_iterative, run_read_micro, run_rereads, run_sort, run_swim, run_swim_with,
-    run_wordcount,
+    run_hive, run_iterative, run_read_micro, run_rereads, run_sort, run_swim, run_swim_observed,
+    run_swim_with, run_wordcount,
 };
+use ignem_repro::cluster::explain::TelemetryReport;
 use ignem_repro::cluster::metrics::{ReadKind, RunMetrics};
 use ignem_repro::core::command::EvictionMode;
 use ignem_repro::core::policy::Policy;
+use ignem_repro::simcore::perfetto;
 use ignem_repro::simcore::rng::SimRng;
+use ignem_repro::simcore::span::SpanForest;
 use ignem_repro::simcore::time::SimDuration;
 use ignem_repro::simcore::units::GB;
 use ignem_repro::storage::device::DeviceProfile;
@@ -63,14 +66,18 @@ fn ablation_sections_render() {
     assert!(s.contains("LRU cache"));
 }
 
-/// FNV-1a folded over little-endian `u64` words.
+/// FNV-1a folded over bytes, or over little-endian `u64` words.
 struct Fnv(u64);
 
 impl Fnv {
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
     }
 }
 
@@ -325,6 +332,83 @@ fn report_ablation_runs_are_pinned() {
     assert_eq!(
         got, REPORT_ABLATION_GOLDEN,
         "report ablation runs moved: {:#018x?}",
+        got
+    );
+}
+
+/// FNV-1a of a text.
+fn text_hash(text: &str) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.bytes(text.as_bytes());
+    h.0
+}
+
+/// What the telemetry section folds out of the Table I Ignem stream, run
+/// as `Report::telemetry` runs it, for the whole stream and for the two
+/// suffixes that evicting its first third and its first two thirds from
+/// the flight recorder's ring would leave. Per stream: the span count and
+/// hashes of the canonical span lines, of the Perfetto export with the
+/// metric windows, and of the `{:?}` renderings of the explainer's report
+/// and of the critical path.
+fn report_telemetry_hashes() -> [[u64; 5]; 3] {
+    let report = Report::new(out_dir("pin-telemetry"));
+    let trace = SwimTrace::generate(&SwimConfig::default(), &mut SimRng::new(REPORT_SEED));
+    let window = SimDuration::from_secs(10);
+    let (_, recorder, windows) =
+        run_swim_observed(report.config(), FsMode::Ignem, &trace, 1 << 22, window);
+    assert_eq!(
+        recorder.dropped(),
+        0,
+        "the recorder must hold the whole run"
+    );
+    let events = recorder.events();
+    let n = events.len();
+    [0, n / 3, 2 * n / 3].map(|from| {
+        let stream = &events[from..];
+        let forest = SpanForest::build(stream);
+        [
+            forest.spans.len() as u64,
+            text_hash(&forest.canonical_lines()),
+            text_hash(&perfetto::export(&forest, Some(&windows))),
+            text_hash(&format!("{:?}", TelemetryReport::from_events(stream))),
+            text_hash(&format!("{:?}", forest.critical_path())),
+        ]
+    })
+}
+
+/// Span counts and hashes of the telemetry section's folds and export;
+/// a changed span, verdict, lead time, leak, re-ignition, critical-path
+/// sum or Perfetto byte changes one of them.
+const REPORT_TELEMETRY_GOLDEN: [[u64; 5]; 3] = [
+    [
+        16055,
+        0x3922_f4af_2a2c_93db,
+        0x30ff_8b7e_f8aa_f51a,
+        0xe548_ccc2_0948_0588,
+        0x2f33_9f6c_eb25_e2f4,
+    ],
+    [
+        10730,
+        0x733f_e272_4632_0562,
+        0x57fa_b51f_52db_aa90,
+        0x2629_04b7_7f24_4ffc,
+        0xdf94_591c_6996_4632,
+    ],
+    [
+        5261,
+        0xc0b4_b443_73de_1d21,
+        0xab59_22d8_c389_6cab,
+        0x78d0_4588_84ae_cbec,
+        0xcaf9_1c78_53a3_2086,
+    ],
+];
+
+#[test]
+fn report_telemetry_folds_are_pinned() {
+    let got = report_telemetry_hashes();
+    assert_eq!(
+        got, REPORT_TELEMETRY_GOLDEN,
+        "report telemetry folds moved: {:#018x?}",
         got
     );
 }
