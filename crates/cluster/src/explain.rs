@@ -28,7 +28,7 @@
 //! schedulable), heartbeat delay (schedulable → first task assignment),
 //! and the migration service time spent on the job's own blocks.
 
-use ignem_simcore::span::{CriticalPath, SpanForest};
+use ignem_simcore::span::{BlockMark, CriticalPath, Mark, SpanForest};
 use ignem_simcore::telemetry::{EventRecord, ReadKind};
 use ignem_simcore::time::{SimDuration, SimTime};
 
@@ -235,12 +235,13 @@ impl TelemetryReport {
                 read_start: r.start,
                 verdict: match r.class {
                     ReadKind::Memory => Verdict::WonRace {
-                        margin: forest
-                            .blocks
-                            .get(&(r.node, r.block))
-                            .and_then(|tl| last_at_or_before(&tl.completed, r.start))
-                            .map(|done| r.start.saturating_duration_since(done))
-                            .unwrap_or(SimDuration::ZERO),
+                        margin: last_at_or_before(
+                            forest.block_marks(r.node, r.block),
+                            is_completed,
+                            r.start,
+                        )
+                        .map(|done| r.start.saturating_duration_since(done))
+                        .unwrap_or(SimDuration::ZERO),
                     },
                     ReadKind::LocalDisk | ReadKind::RemoteDisk => {
                         explain_disk_read(forest, r.job, r.block, r.start)
@@ -254,7 +255,7 @@ impl TelemetryReport {
         let lead_times = forest
             .jobs
             .iter()
-            .filter_map(|(&job, lead)| {
+            .filter_map(|(job, lead)| {
                 let (sub, sched, assign) = (lead.submitted?, lead.scheduled?, lead.first_assigned?);
                 Some(JobLeadTime {
                     job,
@@ -269,15 +270,12 @@ impl TelemetryReport {
         // still resident, pinned by references that never drained
         // ([`LossCause::LeakedReference`]).
         let leaked = forest
-            .blocks
-            .iter()
-            .filter(|(_, tl)| tl.completed.len() > tl.evicted.len())
-            .map(|(&(node, block), tl)| LeakRecord {
-                node,
-                block,
-                bytes: tl.bytes,
-                jobs: tl.owners.clone(),
+            .blocks()
+            .filter(|marks| {
+                let count = |is: fn(&Mark) -> bool| marks.iter().filter(|m| is(&m.mark)).count();
+                count(is_completed) > count(|m| *m == Mark::Evicted)
             })
+            .map(leak_record)
             .collect();
 
         let reignitions = forest
@@ -390,28 +388,23 @@ pub fn reconcile_critical_path(
 /// the verdict; the caller keeps the max-progress verdict across every
 /// node the master assigned.
 fn explain_disk_read(forest: &SpanForest, job: u64, block: u64, read_start: SimTime) -> Verdict {
-    let Some(assignments) = forest
-        .assignments
-        .get(&(job, block))
-        .filter(|a| !a.is_empty())
-    else {
+    let assignments = forest.assigned(job, block);
+    let Some(first) = assignments.first() else {
         return Verdict::LostRace {
             shortfall: SimDuration::ZERO,
             cause: LossCause::NeverScheduled,
         };
     };
-    let first_assigned_at = assignments[0].1;
+    let first_assigned_at = first.at;
 
     // (rank, shortfall, cause): higher rank = the migration got further.
     let mut best: Option<(u8, SimDuration, LossCause)> = None;
-    for &(node, _) in assignments {
-        let Some(tl) = forest.blocks.get(&(node, block)) else {
-            continue;
-        };
-        let completed = last_at_or_before(&tl.completed, read_start);
-        let evicted = last_at_or_before(&tl.evicted, read_start);
-        let started = last_at_or_before(&tl.started, read_start);
-        let enqueued = last_at_or_before(&tl.enqueued, read_start);
+    for a in assignments {
+        let (node, marks) = (a.node, forest.block_marks(a.node, block));
+        let completed = last_at_or_before(marks, is_completed, read_start);
+        let evicted = last_at_or_before(marks, |m| *m == Mark::Evicted, read_start);
+        let started = last_at_or_before(marks, |m| *m == Mark::Started, read_start);
+        let enqueued = last_at_or_before(marks, is_enqueued, read_start);
 
         let candidate = if let Some(done) = completed {
             match evicted {
@@ -420,10 +413,7 @@ fn explain_disk_read(forest: &SpanForest, job: u64, block: u64, read_start: SimT
                     // (`NodeCrashed` is emitted first, same timestamp):
                     // the block wasn't released, it went down with the
                     // machine's volatile store.
-                    let crashed = forest
-                        .crashes
-                        .get(&node)
-                        .is_some_and(|ts| ts.contains(&gone));
+                    let crashed = forest.crashes.contains(&(node, gone));
                     (
                         3,
                         read_start.saturating_duration_since(gone),
@@ -441,12 +431,12 @@ fn explain_disk_read(forest: &SpanForest, job: u64, block: u64, read_start: SimT
                 _ => (3, SimDuration::ZERO, LossCause::DiskContended),
             }
         } else if let Some(begun) = started {
-            let shortfall = first_after(&tl.completed, read_start)
+            let shortfall = first_after(marks, is_completed, read_start)
                 .map(|done| done.saturating_duration_since(read_start))
                 .unwrap_or_else(|| read_start.saturating_duration_since(begun));
             (2, shortfall, LossCause::DiskContended)
         } else if let Some(queued) = enqueued {
-            let shortfall = first_after(&tl.started, read_start)
+            let shortfall = first_after(marks, |m| *m == Mark::Started, read_start)
                 .map(|begun| begun.saturating_duration_since(read_start))
                 .unwrap_or_else(|| read_start.saturating_duration_since(queued));
             (1, shortfall, LossCause::QueuedBehind)
@@ -470,14 +460,50 @@ fn explain_disk_read(forest: &SpanForest, job: u64, block: u64, read_start: SimT
     }
 }
 
-/// Last element of a (chronologically sorted) time list at or before `t`.
-fn last_at_or_before(times: &[SimTime], t: SimTime) -> Option<SimTime> {
-    times.iter().rev().find(|&&x| x <= t).copied()
+fn is_completed(m: &Mark) -> bool {
+    matches!(m, Mark::Completed { .. })
 }
 
-/// First element strictly after `t`.
-fn first_after(times: &[SimTime], t: SimTime) -> Option<SimTime> {
-    times.iter().find(|&&x| x > t).copied()
+fn is_enqueued(m: &Mark) -> bool {
+    matches!(m, Mark::Enqueued { .. })
+}
+
+/// The time of the last mark of one kind at or before `t`, in one
+/// block's marks (chronological, being in stream order).
+fn last_at_or_before(marks: &[BlockMark], is: fn(&Mark) -> bool, t: SimTime) -> Option<SimTime> {
+    marks
+        .iter()
+        .rev()
+        .find(|m| is(&m.mark) && m.at <= t)
+        .map(|m| m.at)
+}
+
+/// The time of the first mark of one kind strictly after `t`.
+fn first_after(marks: &[BlockMark], is: fn(&Mark) -> bool, t: SimTime) -> Option<SimTime> {
+    marks.iter().find(|m| is(&m.mark) && m.at > t).map(|m| m.at)
+}
+
+/// The leak record of a block whose completed migrations outnumber its
+/// evictions: the bytes of its latest completion, and the jobs that
+/// enqueued it since its last eviction (the owners of the references an
+/// eviction has not drained).
+fn leak_record(marks: &[BlockMark]) -> LeakRecord {
+    let mut bytes = 0;
+    let mut jobs = Vec::new();
+    for m in marks {
+        match m.mark {
+            Mark::Enqueued { job } if !jobs.contains(&job) => jobs.push(job),
+            Mark::Completed { bytes: b } => bytes = b,
+            Mark::Evicted => jobs.clear(),
+            Mark::Enqueued { .. } | Mark::Started => {}
+        }
+    }
+    LeakRecord {
+        node: marks[0].node,
+        block: marks[0].block,
+        bytes,
+        jobs,
+    }
 }
 
 #[cfg(test)]

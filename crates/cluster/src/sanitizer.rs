@@ -7,10 +7,10 @@
 //! [`double_run_forked`] runs two worlds built by the same closure and
 //! [`first_divergence`] finds the first record at which their streams
 //! differ, so a CI failure reports *the* first diverging event seq instead
-//! of "streams differ". [`hash_chain`] folds a stream into a per-step
-//! FNV-1a chain over the events' canonical JSON ([`EventRecord::to_json`]
-//! is float-free, so the chain is bit-stable across platforms); the golden
-//! stream pins compare its last entry.
+//! of "streams differ". [`hash_chain`] folds a stream into one FNV-1a
+//! hash chained over the events' canonical JSON ([`EventRecord::to_json`]
+//! is float-free, so the hash is bit-stable across platforms); the golden
+//! stream pins compare it.
 //!
 //! The flight recorder is a bounded ring, so both runs use the same
 //! capacity; a nonzero eviction count is reported rather than silently
@@ -36,16 +36,13 @@ pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The per-step hash chain of an event stream: `chain[i]` commits to
-/// events `0..=i` via their canonical JSON.
-pub fn hash_chain(events: &[EventRecord]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(events.len());
-    let mut h = FNV_OFFSET;
-    for rec in events {
-        h = fnv1a(h, rec.to_json().as_bytes());
-        out.push(h);
-    }
-    out
+/// The hash chain of an event stream: FNV-1a over every event's
+/// canonical JSON, in stream order, so it commits to the whole stream (the
+/// offset basis for an empty one).
+pub fn hash_chain(events: &[EventRecord]) -> u64 {
+    events
+        .iter()
+        .fold(FNV_OFFSET, |h, rec| fnv1a(h, rec.to_json().as_bytes()))
 }
 
 /// The first point where two event streams disagree.

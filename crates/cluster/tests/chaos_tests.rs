@@ -336,7 +336,7 @@ fn minimizer_reproduces_legacy_seed_304_leak() {
 /// Reference values of the seed-304 shrink, captured from the full-replay
 /// minimizer (every candidate schedule re-run from `t = 0`) before it was
 /// retired: the violation and fingerprint of the final failing run, the
-/// last entry of its event-stream hash chain, the probe count, and the
+/// hash chain of its event stream, the probe count, and the
 /// events the replay shrink simulated.
 const REPLAY_304_VIOLATION: &str = "reference leak: 1 entries survive the run (faults: \
      [(SimTime(15241402), Partition([NodeId(0), NodeId(2)], SimDuration(9983093)))])";
@@ -372,9 +372,10 @@ fn forked_minimizer_matches_replay_minimizer_on_seed_304() {
     assert_eq!(forked.report.faults, forked.faults);
     assert_eq!(forked.violation, REPLAY_304_VIOLATION);
     assert_eq!(forked.report.fingerprint, REPLAY_304_FINGERPRINT);
+    assert!(!forked.report.events.is_empty(), "non-empty stream");
     assert_eq!(
-        hash_chain(&forked.report.events).last(),
-        Some(&REPLAY_304_STREAM_HASH),
+        hash_chain(&forked.report.events),
+        REPLAY_304_STREAM_HASH,
         "final failing run must record the reference event stream"
     );
     assert_eq!(fork_stats.probes, REPLAY_304_PROBES, "probe order differs");

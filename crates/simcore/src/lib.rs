@@ -51,6 +51,7 @@ pub mod rng;
 pub mod span;
 pub mod stats;
 pub mod telemetry;
+mod text;
 pub mod time;
 pub mod units;
 

@@ -22,6 +22,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use crate::text::Text;
 use crate::time::{SimDuration, SimTime};
 
 /// Instrument key: a static metric name plus an integer tag (node id,
@@ -210,37 +211,50 @@ impl MetricsReport {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for w in &self.windows {
-            out.push_str(&format!(
-                "{{\"window\":{},\"start_us\":{},\"window_us\":{},\"counters\":[",
-                w.index, w.start_us, self.window_us
-            ));
+            out.push_str("{\"window\":");
+            out.push_int(w.index);
+            out.push_str(",\"start_us\":");
+            out.push_int(w.start_us);
+            out.push_str(",\"window_us\":");
+            out.push_int(self.window_us);
+            out.push_str(",\"counters\":[");
             for (i, ((name, tag), v)) in w.counters.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "{{\"name\":\"{name}\",\"tag\":{tag},\"count\":{v}}}"
-                ));
+                push_key(&mut out, name, *tag);
+                out.push_str(",\"count\":");
+                out.push_int(*v);
+                out.push('}');
             }
             out.push_str("],\"gauges\":[");
             for (i, ((name, tag), v)) in w.gauges.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "{{\"name\":\"{name}\",\"tag\":{tag},\"value\":{v}}}"
-                ));
+                push_key(&mut out, name, *tag);
+                out.push_str(",\"value\":");
+                out.push_int(*v);
+                out.push('}');
             }
             out.push_str("],\"hists\":[");
             for (i, ((name, tag), h)) in w.hists.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "{{\"name\":\"{name}\",\"tag\":{tag},\"count\":{},\"sum\":{},\
-                     \"min\":{},\"max\":{},\"buckets\":[",
-                    h.count, h.sum, h.min, h.max
-                ));
+                push_key(&mut out, name, *tag);
+                for (field, v) in [
+                    ("count", h.count),
+                    ("sum", h.sum),
+                    ("min", h.min),
+                    ("max", h.max),
+                ] {
+                    out.push_str(",\"");
+                    out.push_str(field);
+                    out.push_str("\":");
+                    out.push_int(v);
+                }
+                out.push_str(",\"buckets\":[");
                 let mut first = true;
                 for (k, c) in h.buckets.iter().enumerate() {
                     if *c > 0 {
@@ -248,7 +262,11 @@ impl MetricsReport {
                             out.push(',');
                         }
                         first = false;
-                        out.push_str(&format!("[{k},{c}]"));
+                        out.push('[');
+                        out.push_int(k as u64);
+                        out.push(',');
+                        out.push_int(*c);
+                        out.push(']');
                     }
                 }
                 out.push_str("]}");
@@ -267,6 +285,14 @@ impl MetricsReport {
 #[derive(Debug, Default, Clone)]
 struct Table<V> {
     entries: Vec<(MetricKey, V)>,
+}
+
+/// Opens a metric's JSONL object: `{"name":"<name>","tag":<tag>`.
+fn push_key(out: &mut String, name: &str, tag: u64) {
+    out.push_str("{\"name\":\"");
+    out.push_str(name);
+    out.push_str("\",\"tag\":");
+    out.push_int(tag);
 }
 
 impl<V: Default> Table<V> {

@@ -8,82 +8,112 @@
 //! track. All timestamps and values are integers (micros), so the output
 //! is bit-identical across runs whenever the span forest is.
 
+use crate::idmap::IdSet;
 use crate::metrics::MetricsReport;
 use crate::span::SpanForest;
+use crate::text::{Measure, Text};
 
 /// Renders a span forest (and optionally a metrics report) as a Chrome
 /// trace-event JSON string.
 pub fn export(forest: &SpanForest, metrics: Option<&MetricsReport>) -> String {
-    // One buffer for the whole trace; events are separated by ",\n".
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut push = |event: String| {
-        if !out.ends_with('[') {
+    // Process-name metadata so Perfetto labels tracks: one per node with
+    // a span, and the cluster track (pid 0).
+    let mut pids = IdSet::new();
+    pids.insert(0);
+    for s in &forest.spans {
+        pids.insert(pid(s.node));
+    }
+    // Measure the trace, then write it into a buffer of exactly its size.
+    let mut len = Measure::default();
+    write_trace(&mut len, &pids, forest, metrics);
+    let mut out = String::with_capacity(len.0);
+    write_trace(&mut out, &pids, forest, metrics);
+    out
+}
+
+/// Writes the trace: track metadata, then spans in id order (already
+/// canonical in the forest), then metric windows as counter tracks on the
+/// cluster pid. Events are separated by ",\n"; the cluster track's
+/// metadata always comes first.
+fn write_trace(
+    out: &mut impl Text,
+    pids: &IdSet<u64>,
+    forest: &SpanForest,
+    metrics: Option<&MetricsReport>,
+) {
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    for pid in pids.iter() {
+        if pid > 0 {
             out.push_str(",\n");
         }
-        out.push_str(&event);
-    };
-
-    // Process-name metadata so Perfetto labels tracks.
-    let mut pids: Vec<i64> = forest.spans.iter().map(|s| s.node).collect();
-    pids.push(-1);
-    pids.sort_unstable();
-    pids.dedup();
-    for node in pids {
-        let pid = node + 1;
-        let name = if node < 0 {
-            "cluster".to_string()
+        out.push_str("{\"ph\":\"M\",\"pid\":");
+        out.push_int(pid);
+        out.push_str(",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"");
+        if pid == 0 {
+            out.push_str("cluster");
         } else {
-            format!("node{node}")
-        };
-        push(format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"{name}\"}}}}"
-        ));
+            out.push_str("node");
+            out.push_int(pid - 1);
+        }
+        out.push_str("\"}}");
     }
 
-    // Spans, in id order (already canonical in the forest).
     for s in &forest.spans {
-        let pid = s.node + 1;
-        let parent = s.parent.map(|p| p.0 as i64).unwrap_or(-1);
-        push(format!(
-            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":0,\"ts\":{ts},\"dur\":{dur},\
-             \"name\":\"{name}\",\"cat\":\"{cat}\",\
-             \"args\":{{\"span\":{span},\"parent\":{parent},\"job\":{job},\"block\":{block}}}}}",
-            ts = s.start.as_micros(),
-            dur = s.duration().as_micros(),
-            name = s.name,
-            cat = s.category.tag(),
-            span = s.id.0,
-            job = s.job,
-            block = s.block,
-        ));
+        out.push_str(",\n{\"ph\":\"X\",\"pid\":");
+        out.push_int(pid(s.node));
+        out.push_str(",\"tid\":0,\"ts\":");
+        out.push_int(s.start.as_micros());
+        out.push_str(",\"dur\":");
+        out.push_int(s.duration().as_micros());
+        out.push_str(",\"name\":\"");
+        out.push_str(s.name);
+        out.push_str("\",\"cat\":\"");
+        out.push_str(s.category.tag());
+        out.push_str("\",\"args\":{\"span\":");
+        out.push_int(s.id.0);
+        out.push_str(",\"parent\":");
+        out.push_int(s.parent.map(|p| p.0 as i64).unwrap_or(-1));
+        out.push_str(",\"job\":");
+        out.push_int(s.job);
+        out.push_str(",\"block\":");
+        out.push_int(s.block);
+        out.push_str("}}");
     }
 
-    // Metric windows as counter tracks on the cluster pid.
     if let Some(report) = metrics {
         for w in &report.windows {
             let ts = w.start_us;
             for ((name, tag), v) in &w.counters {
-                push(counter_event(ts, name, *tag, *v as i64));
+                counter_event(out, ts, name, *tag, *v as i64);
             }
             for ((name, tag), v) in &w.gauges {
-                push(counter_event(ts, name, *tag, *v));
+                counter_event(out, ts, name, *tag, *v);
             }
             for ((name, tag), h) in &w.hists {
-                push(counter_event(ts, name, *tag, h.count as i64));
+                counter_event(out, ts, name, *tag, h.count as i64);
             }
         }
     }
 
     out.push_str("]}\n");
-    out
 }
 
-fn counter_event(ts: u64, name: &str, tag: u64, value: i64) -> String {
-    format!(
-        "{{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":{ts},\
-         \"name\":\"{name}[{tag}]\",\"args\":{{\"value\":{value}}}}}"
-    )
+/// The track of a span's node: pid 0 is the cluster (node `-1`), pid
+/// `n + 1` is node `n`.
+fn pid(node: i64) -> u64 {
+    (node + 1) as u64
+}
+
+fn counter_event(out: &mut impl Text, ts: u64, name: &str, tag: u64, value: i64) {
+    out.push_str(",\n{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":");
+    out.push_int(ts);
+    out.push_str(",\"name\":\"");
+    out.push_str(name);
+    out.push_str("[");
+    out.push_int(tag);
+    out.push_str("]\",\"args\":{\"value\":");
+    out.push_int(value);
+    out.push_str("}}");
 }
 
 #[cfg(test)]

@@ -15,18 +15,23 @@
 //!
 //! The same pass keeps the evidence the migration-race explainer
 //! (`ignem_cluster::explain`) ranks its verdicts from: every migration
-//! instant per `(node, block)` ([`BlockTimeline`]), the master's
-//! assignments per `(job, block)`, crash and restart instants per node,
-//! every block read, and one [`JobLead`] per job. Round ownership has one
-//! rule set: the first enqueuer owns the round; a completion credits its
-//! transfer time only when both owner and start are known; wasted and
-//! cancelled rounds are uncredited; a discard dissolves the round only
-//! before the read starts. The [`CriticalPath`] extractor and the
-//! explainer's lead times both read the same [`JobLead`]s.
+//! instant of every `(node, block)` ([`BlockMark`]), the master's
+//! assignments ([`Assignment`]), crash and restart instants, every block
+//! read, and one [`JobLead`] per job. The instants and assignments are
+//! appended to two flat lists in stream order and sorted by key once,
+//! when the stream ends. Round ownership has one rule set: the first
+//! enqueuer owns the round; a completion credits its transfer time only
+//! when both owner and start are known; wasted and cancelled rounds are
+//! uncredited; a discard dissolves the round only before the read starts.
+//! The [`CriticalPath`] extractor and the explainer's lead times both read
+//! the same [`JobLead`]s.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
+use crate::idmap::IdMap;
 use crate::telemetry::{Event, EventRecord, ReadKind};
+use crate::text::Text;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a span: the opening record's seq shifted left by four,
@@ -147,23 +152,59 @@ impl Span {
     }
 }
 
-/// Every migration instant the stream recorded for one `(node, block)`,
-/// in stream order, plus the block's leak account.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BlockTimeline {
-    /// Every `MigrationEnqueued`, not only the one that opened a round.
-    pub enqueued: Vec<SimTime>,
-    /// Every `MigrationStarted`.
-    pub started: Vec<SimTime>,
-    /// Every `MigrationCompleted`.
-    pub completed: Vec<SimTime>,
-    /// Every `BlockEvicted`.
-    pub evicted: Vec<SimTime>,
-    /// Bytes of the latest completed migration.
-    pub bytes: u64,
-    /// Jobs that enqueued migrations for the block since its last
-    /// eviction: the owners of references an eviction has not drained.
-    pub owners: Vec<u64>,
+/// What one migration record did to its `(node, block)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mark {
+    /// A `MigrationEnqueued` by `job`; every one, not only the one that
+    /// opened a round.
+    Enqueued {
+        /// The enqueuing job.
+        job: u64,
+    },
+    /// A `MigrationStarted`.
+    Started,
+    /// A `MigrationCompleted`.
+    Completed {
+        /// Bytes the migration made resident.
+        bytes: u64,
+    },
+    /// A `BlockEvicted`.
+    Evicted,
+}
+
+/// One migration instant of one `(node, block)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockMark {
+    /// The node.
+    pub node: u32,
+    /// The block.
+    pub block: u64,
+    /// The seq of the record.
+    pub seq: u64,
+    /// The record's time.
+    pub at: SimTime,
+    /// What the record did.
+    pub mark: Mark,
+}
+
+impl BlockMark {
+    fn key(&self) -> (u32, u64) {
+        (self.node, self.block)
+    }
+}
+
+/// One `MigrationAssigned` record: the master told `node` to migrate
+/// `block` for `job`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Assignment {
+    /// The job the migration is for.
+    pub job: u64,
+    /// The block.
+    pub block: u64,
+    /// The node told to migrate it.
+    pub node: u32,
+    /// When the master assigned it.
+    pub at: SimTime,
 }
 
 /// One node restart and the recovery milestones witnessed after it.
@@ -229,28 +270,32 @@ pub struct SpanForest {
     pub spans: Vec<Span>,
     /// Retransmissions observed (`RpcRetried` records).
     pub retries_observed: u64,
-    /// Migration instants per `(node, block)`.
-    pub blocks: BTreeMap<(u32, u64), BlockTimeline>,
-    /// The master's migration assignments per `(job, block)`, as
-    /// `(node, at)` in stream order.
-    pub assignments: BTreeMap<(u64, u64), Vec<(u32, SimTime)>>,
-    /// Crash instants per node.
-    pub crashes: BTreeMap<u32, Vec<SimTime>>,
+    /// Every migration instant, ordered by `(node, block)` and in stream
+    /// order within one (see [`SpanForest::block_marks`]).
+    pub marks: Vec<BlockMark>,
+    /// The master's migration assignments, ordered by `(job, block)` and
+    /// in stream order within one (see [`SpanForest::assigned`]).
+    pub assignments: Vec<Assignment>,
+    /// Crash instants as `(node, at)`, in stream order.
+    pub crashes: Vec<(u32, SimTime)>,
     /// Node restarts, in stream order.
     pub restarts: Vec<Restart>,
     /// Every block read, in stream order.
     pub reads: Vec<ReadRecord>,
     /// Lead facts per job id.
-    pub jobs: BTreeMap<u64, JobLead>,
+    pub jobs: IdMap<u64, JobLead>,
     /// The last record's time, where spans still open were closed.
     end: SimTime,
+    /// Each `(node, block)` in `marks`, in key order, with the index of
+    /// its first mark: a short list to search in place of `marks`.
+    index: Vec<((u32, u64), usize)>,
 }
 
 impl SpanForest {
     /// Folds a recorded stream. Spans still open when the stream ends are
     /// closed at the last record's timestamp.
     pub fn build(events: &[EventRecord]) -> SpanForest {
-        Builder::default().run(events)
+        Builder::sized_for(events).run(events)
     }
 
     /// The span with the given id, if present.
@@ -266,6 +311,39 @@ impl SpanForest {
         self.spans.iter().filter(|s| s.parent == Some(id)).collect()
     }
 
+    /// The migration instants of one `(node, block)`, in stream order.
+    pub fn block_marks(&self, node: u32, block: u64) -> &[BlockMark] {
+        match self
+            .index
+            .binary_search_by_key(&(node, block), |&(key, _)| key)
+        {
+            Ok(i) => self.block(i),
+            Err(_) => &[],
+        }
+    }
+
+    /// Every `(node, block)`'s migration instants, in key order.
+    pub fn blocks(&self) -> impl Iterator<Item = &[BlockMark]> {
+        (0..self.index.len()).map(|i| self.block(i))
+    }
+
+    /// The marks of the `i`-th `(node, block)` in the index.
+    fn block(&self, i: usize) -> &[BlockMark] {
+        let end = self
+            .index
+            .get(i + 1)
+            .map_or(self.marks.len(), |&(_, from)| from);
+        &self.marks[self.index[i].1..end]
+    }
+
+    /// The master's assignments of `block` for `job`, in stream order.
+    pub fn assigned(&self, job: u64, block: u64) -> &[Assignment] {
+        let key = (job, block);
+        let all = &self.assignments;
+        let all = &all[all.partition_point(|a| (a.job, a.block) < key)..];
+        &all[..all.iter().take_while(|a| (a.job, a.block) == key).count()]
+    }
+
     /// Charges every job's lead phases and owned rounds to their
     /// categories (see [`CriticalPath`]). A phase the stream never closed
     /// ends at the job's completion, or else at the last record.
@@ -273,7 +351,7 @@ impl SpanForest {
         let jobs = self
             .jobs
             .iter()
-            .map(|(&job, l)| {
+            .map(|(job, l)| {
                 let phase = |from: Option<SimTime>, to: Option<SimTime>| {
                     let end = to.or(l.completed).unwrap_or(self.end);
                     from.map(|s| end.saturating_duration_since(s))
@@ -301,18 +379,24 @@ impl SpanForest {
     pub fn canonical_lines(&self) -> String {
         let mut out = String::new();
         for s in &self.spans {
-            out.push_str(&format!(
-                "{} id={} parent={} cat={} node={} job={} block={} start={} end={}\n",
-                s.name,
-                s.id.0,
-                s.parent.map(|p| p.0 as i64).unwrap_or(-1),
-                s.category.tag(),
-                s.node,
-                s.job,
-                s.block,
-                s.start.as_micros(),
-                s.end.as_micros(),
-            ));
+            out.push_str(s.name);
+            out.push_str(" id=");
+            out.push_int(s.id.0);
+            out.push_str(" parent=");
+            out.push_int(s.parent.map(|p| p.0 as i64).unwrap_or(-1));
+            out.push_str(" cat=");
+            out.push_str(s.category.tag());
+            out.push_str(" node=");
+            out.push_int(s.node);
+            out.push_str(" job=");
+            out.push_int(s.job);
+            out.push_str(" block=");
+            out.push_int(s.block);
+            out.push_str(" start=");
+            out.push_int(s.start.as_micros());
+            out.push_str(" end=");
+            out.push_int(s.end.as_micros());
+            out.push('\n');
         }
         out
     }
@@ -397,10 +481,12 @@ impl Spans {
     }
 }
 
-/// One open migration round; its spans are held by index.
-#[derive(Debug, Default)]
+/// One open migration round; its spans are held by index, and its root's
+/// id is kept to parent the others.
+#[derive(Debug)]
 struct RoundState {
     root: usize,
+    root_id: SpanId,
     owner: Option<u64>,
     command: Option<usize>,
     queued: Option<usize>,
@@ -410,20 +496,11 @@ struct RoundState {
     backoff_total: SimDuration,
 }
 
-/// Everything the fold tracks per `(node, block)`, so a record costs one
-/// map lookup.
+/// A job's open spans (the root with its id, to parent the others); its
+/// lead facts go straight into the forest.
 #[derive(Debug, Default)]
-struct BlockState {
-    timeline: BlockTimeline,
-    round: Option<RoundState>,
-    /// Open `resident` spans, oldest first.
-    residents: Vec<usize>,
-}
-
-#[derive(Debug, Default)]
-struct JobState {
-    lead: JobLead,
-    root: Option<usize>,
+struct JobSpans {
+    root: Option<(usize, SpanId)>,
     queue: Option<usize>,
     heartbeat: Option<usize>,
 }
@@ -439,34 +516,55 @@ struct RecoveryState {
 #[derive(Default)]
 struct Builder {
     spans: Spans,
-    jobs: BTreeMap<u64, JobState>,
-    tasks: BTreeMap<u64, usize>,
-    blocks: BTreeMap<(u32, u64), BlockState>,
+    jobs: IdMap<u64, JobSpans>,
+    tasks: IdMap<u64, usize>,
+    /// The open migration round of each `(node, block)` that has one.
+    rounds: BTreeMap<(u32, u64), RoundState>,
     retry_last: BTreeMap<u64, SimTime>,
     recoveries: BTreeMap<u32, RecoveryState>,
     out: SpanForest,
 }
 
-/// Opens the migration round for a block if it has none, rooted at the
-/// record `(seq, at)`.
+/// The id of the `resident` span a `MigrationCompleted` record opens.
+fn resident_id(seq: u64) -> SpanId {
+    SpanId::new(seq, 1)
+}
+
+/// Opens the migration round for `key` if it has none, rooted at the
+/// record `(seq, at)`; says whether it did.
 fn open_round<'a>(
     spans: &mut Spans,
-    round: &'a mut Option<RoundState>,
+    rounds: &'a mut BTreeMap<(u32, u64), RoundState>,
+    key: (u32, u64),
     (seq, at): (u64, SimTime),
     parent: Option<SpanId>,
     scope: Scope,
-) -> &'a mut RoundState {
-    round.get_or_insert_with(|| RoundState {
-        root: spans.open(SpanId::new(seq, 0), parent, "migration", scope, at),
-        ..RoundState::default()
-    })
+) -> (&'a mut RoundState, bool) {
+    match rounds.entry(key) {
+        Entry::Occupied(round) => (round.into_mut(), false),
+        Entry::Vacant(slot) => {
+            let root_id = SpanId::new(seq, 0);
+            let round = slot.insert(RoundState {
+                root: spans.open(root_id, parent, "migration", scope, at),
+                root_id,
+                owner: None,
+                command: None,
+                queued: None,
+                transfer: None,
+                queued_total: SimDuration::ZERO,
+                command_total: SimDuration::ZERO,
+                backoff_total: SimDuration::ZERO,
+            });
+            (round, true)
+        }
+    }
 }
 
 /// Closes a round's open spans at `at` and credits its totals to its
 /// owner. Only a round its completion closes credits its transfer time.
 fn close_round(
     spans: &mut Spans,
-    jobs: &mut BTreeMap<u64, JobState>,
+    leads: &mut IdMap<u64, JobLead>,
     mut st: RoundState,
     at: SimTime,
     completed: bool,
@@ -480,7 +578,7 @@ fn close_round(
     let transfer = st.transfer.map(|i| spans.close(i, at));
     spans.close(st.root, at);
     if let Some(owner) = st.owner {
-        let lead = &mut jobs.entry(owner).or_default().lead;
+        let lead = leads.entry_or_default(owner);
         if completed {
             lead.migration_service += transfer.unwrap_or(SimDuration::ZERO);
         }
@@ -495,6 +593,42 @@ fn close_round(
 }
 
 impl Builder {
+    /// A builder whose lists are sized for the fold of `events`: exactly
+    /// for the marks, assignments and reads, and for the spans at the
+    /// count an untruncated stream opens. (A round whose assignment fell
+    /// off the front of a truncated stream opens one more, and the list
+    /// grows for it.)
+    fn sized_for(events: &[EventRecord]) -> Builder {
+        let mut b = Builder::default();
+        let (mut spans, mut marks, mut assignments, mut reads) = (0, 0, 0, 0);
+        for rec in events {
+            // (spans opened, marks, assignments, reads)
+            let (s, m, a, r) = match rec.event {
+                // A round's root and its command.
+                Event::MigrationAssigned { .. } => (2, 0, 1, 0),
+                // Its `queued`, `transfer` and `resident` spans.
+                Event::MigrationEnqueued { .. }
+                | Event::MigrationStarted { .. }
+                | Event::MigrationCompleted { .. } => (1, 1, 0, 0),
+                Event::BlockEvicted { .. } => (0, 1, 0, 0),
+                Event::BlockRead { .. } => (0, 0, 0, 1),
+                Event::JobSubmitted { .. } | Event::NodeRestarted { .. } => (2, 0, 0, 0),
+                Event::JobScheduled { .. }
+                | Event::TaskAssigned { .. }
+                | Event::RpcRetried { .. }
+                | Event::SlaveRegistered { .. }
+                | Event::BlockReportReceived { .. } => (1, 0, 0, 0),
+                _ => (0, 0, 0, 0),
+            };
+            (spans, marks, assignments, reads) = (spans + s, marks + m, assignments + a, reads + r);
+        }
+        b.spans.0.reserve_exact(spans);
+        b.out.marks.reserve_exact(marks);
+        b.out.assignments.reserve_exact(assignments);
+        b.out.reads.reserve_exact(reads);
+        b
+    }
+
     fn run(mut self, events: &[EventRecord]) -> SpanForest {
         for rec in events {
             self.out.end = rec.at;
@@ -504,8 +638,17 @@ impl Builder {
     }
 
     fn job_root(&self, job: u64) -> Option<SpanId> {
-        let root = self.jobs.get(&job)?.root?;
-        Some(self.spans.id(root))
+        Some(self.jobs.get(&job)?.root?.1)
+    }
+
+    fn mark(&mut self, (node, block): (u32, u64), rec: &EventRecord, mark: Mark) {
+        self.out.marks.push(BlockMark {
+            node,
+            block,
+            seq: rec.seq,
+            at: rec.at,
+            mark,
+        });
     }
 
     /// Moves `node`'s recovery on from its open `from` phase: into a `to`
@@ -542,14 +685,16 @@ impl Builder {
     fn handle(&mut self, rec: &EventRecord) {
         let (seq, at) = (rec.seq, rec.at);
         let spans = &mut self.spans;
+        let leads = &mut self.out.jobs;
         match &rec.event {
             Event::JobSubmitted { job, .. } => {
-                let js = self.jobs.entry(*job).or_default();
-                if js.lead.submitted.is_none() {
+                let lead = leads.entry_or_default(*job);
+                if lead.submitted.is_none() {
                     let scope = (-1, *job as i64, -1);
                     let root = SpanId::new(seq, 0);
-                    js.lead.submitted = Some(at);
-                    js.root = Some(spans.open(root, None, "job", scope, at));
+                    lead.submitted = Some(at);
+                    let js = self.jobs.entry_or_default(*job);
+                    js.root = Some((spans.open(root, None, "job", scope, at), root));
                     js.queue =
                         Some(spans.open(SpanId::new(seq, 1), Some(root), "queue", scope, at));
                 }
@@ -558,12 +703,12 @@ impl Builder {
                 let Some(js) = self.jobs.get_mut(job) else {
                     return;
                 };
-                if let (Some(queue), Some(root)) = (js.queue.take(), js.root) {
+                if let (Some(queue), Some((_, root))) = (js.queue.take(), js.root) {
                     spans.close(queue, at);
-                    js.lead.scheduled = Some(at);
+                    leads.entry_or_default(*job).scheduled = Some(at);
                     js.heartbeat = Some(spans.open(
                         SpanId::new(seq, 0),
-                        Some(spans.id(root)),
+                        Some(root),
                         "heartbeat_wait",
                         (-1, *job as i64, -1),
                         at,
@@ -571,16 +716,17 @@ impl Builder {
                 }
             }
             Event::TaskAssigned { task, job, node } => {
+                let mut parent = None;
                 if let Some(js) = self.jobs.get_mut(job) {
                     if let Some(hb) = js.heartbeat.take() {
                         spans.close(hb, at);
-                        js.lead.first_assigned = Some(at);
+                        leads.entry_or_default(*job).first_assigned = Some(at);
                     }
+                    parent = js.root.map(|(_, id)| id);
                 }
-                let parent = self.job_root(*job);
                 let scope = (*node as i64, *job as i64, -1);
                 let id = SpanId::new(seq, 0);
-                let task_span = self.spans.open(id, parent, "task", scope, at);
+                let task_span = spans.open(id, parent, "task", scope, at);
                 self.tasks.insert(*task, task_span);
             }
             Event::TaskFinished { task, .. } => {
@@ -589,12 +735,14 @@ impl Builder {
                 }
             }
             Event::JobCompleted { job, .. } => {
+                if let Some(lead) = leads.get_mut(job) {
+                    if lead.submitted.is_some() && lead.completed.is_none() {
+                        lead.completed = Some(at);
+                    }
+                }
                 // The job root itself stays open: every job span closes at
                 // the end of the stream.
                 if let Some(js) = self.jobs.get_mut(job) {
-                    if js.lead.submitted.is_some() && js.lead.completed.is_none() {
-                        js.lead.completed = Some(at);
-                    }
                     for i in [js.queue.take(), js.heartbeat.take()].into_iter().flatten() {
                         spans.close(i, at);
                     }
@@ -603,83 +751,77 @@ impl Builder {
             Event::MigrationAssigned {
                 job, block, node, ..
             } => {
-                self.out
-                    .assignments
-                    .entry((*job, *block))
-                    .or_default()
-                    .push((*node, at));
+                self.out.assignments.push(Assignment {
+                    job: *job,
+                    block: *block,
+                    node: *node,
+                    at,
+                });
                 let parent = self.job_root(*job);
                 let scope = (*node as i64, *job as i64, *block as i64);
                 let spans = &mut self.spans;
-                let b = self.blocks.entry((*node, *block)).or_default();
-                let st = open_round(spans, &mut b.round, (seq, at), parent, scope);
+                let key = (*node, *block);
+                let (st, _) = open_round(spans, &mut self.rounds, key, (seq, at), parent, scope);
                 if st.command.is_none() {
-                    let root = Some(spans.id(st.root));
                     let id = SpanId::new(seq, 1);
-                    st.command = Some(spans.open(id, root, "command", scope, at));
+                    st.command = Some(spans.open(id, Some(st.root_id), "command", scope, at));
                 }
             }
             Event::MigrationEnqueued {
                 node, job, block, ..
             } => {
+                let key = (*node, *block);
+                self.mark(key, rec, Mark::Enqueued { job: *job });
                 let parent = self.job_root(*job);
                 let scope = (*node as i64, *job as i64, *block as i64);
                 let spans = &mut self.spans;
-                let b = self.blocks.entry((*node, *block)).or_default();
-                b.timeline.enqueued.push(at);
-                if !b.timeline.owners.contains(job) {
-                    b.timeline.owners.push(*job);
-                }
-                let st = open_round(spans, &mut b.round, (seq, at), parent, scope);
+                let (st, _) = open_round(spans, &mut self.rounds, key, (seq, at), parent, scope);
                 st.owner.get_or_insert(*job);
                 if let Some(i) = st.command.take() {
                     st.command_total += spans.close(i, at);
                 }
                 if st.queued.is_none() && st.transfer.is_none() {
-                    let root = Some(spans.id(st.root));
                     let id = SpanId::new(seq, 1);
-                    st.queued = Some(spans.open(id, root, "queued", scope, at));
+                    st.queued = Some(spans.open(id, Some(st.root_id), "queued", scope, at));
                 }
                 // A pending re-ignition completes at the first accepted
                 // migration command after the node's block report.
                 self.recovery_step(*node, "reignite", None, rec);
             }
             Event::MigrationStarted { node, block, .. } => {
-                let b = self.blocks.entry((*node, *block)).or_default();
-                b.timeline.started.push(at);
+                let key = (*node, *block);
+                self.mark(key, rec, Mark::Started);
+                let scope = (*node as i64, -1, *block as i64);
+                let spans = &mut self.spans;
+                let (st, opened) = open_round(spans, &mut self.rounds, key, (seq, at), None, scope);
                 // A round this record opens (its enqueue fell off the
                 // front of a truncated stream) already took the `k = 0`
                 // id for its root.
-                let k = u64::from(b.round.is_none());
-                let scope = (*node as i64, -1, *block as i64);
-                let st = open_round(spans, &mut b.round, (seq, at), None, scope);
+                let k = u64::from(opened);
                 if let Some(i) = st.queued.take() {
                     st.queued_total += spans.close(i, at);
                 }
                 let job = st.owner.map(|j| j as i64).unwrap_or(-1);
-                let root = Some(spans.id(st.root));
                 st.transfer = Some(spans.open(
                     SpanId::new(seq, k),
-                    root,
+                    Some(st.root_id),
                     "transfer",
                     (scope.0, job, scope.2),
                     at,
                 ));
             }
             Event::MigrationCompleted { node, block, bytes } => {
-                let b = self.blocks.entry((*node, *block)).or_default();
-                b.timeline.completed.push(at);
-                b.timeline.bytes = *bytes;
+                let key = (*node, *block);
                 let (mut root, mut job) = (None, -1);
-                if let Some(st) = b.round.take() {
-                    root = Some(spans.id(st.root));
+                if let Some(st) = self.rounds.remove(&key) {
+                    root = Some(st.root_id);
                     job = st.owner.map(|j| j as i64).unwrap_or(-1);
-                    close_round(spans, &mut self.jobs, st, at, true);
+                    close_round(spans, leads, st, at, true);
                 }
+                // `finish` closes the `resident` span at the block's
+                // eviction.
                 let scope = (*node as i64, job, *block as i64);
-                let id = SpanId::new(seq, 1);
-                let resident = spans.open(id, root, "resident", scope, at);
-                b.residents.push(resident);
+                spans.open(resident_id(seq), root, "resident", scope, at);
                 // The first completion after a restart marks the node
                 // migrating again.
                 if let Some(r) = self
@@ -691,37 +833,29 @@ impl Builder {
                 {
                     r.remigrated = Some(at);
                 }
+                self.mark(key, rec, Mark::Completed { bytes: *bytes });
             }
             Event::MigrationWasted { node, block, .. }
             | Event::MigrationCancelled { node, block } => {
                 // The round ended without delivering the block: its
-                // `started` instant stays in the timeline, uncredited.
-                if let Some(st) = self
-                    .blocks
-                    .get_mut(&(*node, *block))
-                    .and_then(|b| b.round.take())
-                {
-                    close_round(spans, &mut self.jobs, st, at, false);
+                // `started` instant stays in the marks, uncredited.
+                if let Some(st) = self.rounds.remove(&(*node, *block)) {
+                    close_round(spans, leads, st, at, false);
                 }
             }
             Event::MigrationDiscarded { node, block } => {
                 // Before the read starts a discard dissolves the round;
                 // after, the owner keeps it.
-                if let Some(b) = self.blocks.get_mut(&(*node, *block)) {
-                    if let Some(st) = b.round.take_if(|st| st.transfer.is_none()) {
-                        close_round(spans, &mut self.jobs, st, at, false);
+                if let Entry::Occupied(round) = self.rounds.entry((*node, *block)) {
+                    if round.get().transfer.is_none() {
+                        close_round(spans, leads, round.remove(), at, false);
                     }
                 }
             }
             Event::BlockEvicted { node, block, .. } => {
-                let b = self.blocks.entry((*node, *block)).or_default();
-                b.timeline.evicted.push(at);
-                // The eviction drained the block's references; a later
-                // enqueue opens a fresh leak account.
-                b.timeline.owners.clear();
-                if !b.residents.is_empty() {
-                    spans.close(b.residents.remove(0), at);
-                }
+                // The eviction drains the block's references and closes
+                // its oldest `resident` span (in `finish`).
+                self.mark((*node, *block), rec, Mark::Evicted);
             }
             Event::RpcRetried {
                 seq: rpc_seq,
@@ -733,9 +867,9 @@ impl Builder {
                 // (commands batch per slave; the heuristic is deterministic
                 // and documented in DESIGN.md §12).
                 let target = self
-                    .blocks
+                    .rounds
                     .range((*node, 0)..=(*node, u64::MAX))
-                    .filter_map(|(key, b)| Some((b.round.as_ref()?.command?, *key)))
+                    .filter_map(|(key, st)| Some((st.command?, *key)))
                     .min_by_key(|&(i, _)| spans.id(i));
                 let start = self
                     .retry_last
@@ -747,7 +881,7 @@ impl Builder {
                 let mut parent = None;
                 if let Some((i, key)) = target {
                     parent = Some(spans.id(i));
-                    if let Some(st) = self.blocks.get_mut(&key).and_then(|b| b.round.as_mut()) {
+                    if let Some(st) = self.rounds.get_mut(&key) {
                         st.backoff_total += at.saturating_duration_since(start);
                     }
                 }
@@ -758,9 +892,7 @@ impl Builder {
                 let i = spans.open(id, parent, "retry", scope, start);
                 spans.close(i, at);
             }
-            Event::NodeCrashed { node } => {
-                self.out.crashes.entry(*node).or_default().push(at);
-            }
+            Event::NodeCrashed { node } => self.out.crashes.push((*node, at)),
             Event::NodeRestarted { node, .. } => {
                 self.out.restarts.push(Restart {
                     node: *node,
@@ -831,39 +963,73 @@ impl Builder {
         }
     }
 
-    fn finish(mut self) -> SpanForest {
+    fn finish(self) -> SpanForest {
         // Close everything still open at the end of the stream.
-        let at = self.out.end;
-        let spans = &mut self.spans;
-        for b in self.blocks.values_mut() {
-            if let Some(st) = b.round.take() {
-                close_round(spans, &mut self.jobs, st, at, false);
-            }
-            for &i in &b.residents {
+        let Builder {
+            mut spans,
+            jobs,
+            tasks,
+            rounds,
+            recoveries,
+            mut out,
+            ..
+        } = self;
+        let at = out.end;
+        for st in rounds.into_values() {
+            close_round(&mut spans, &mut out.jobs, st, at, false);
+        }
+        for js in jobs.values() {
+            for i in [js.root.map(|(i, _)| i), js.queue, js.heartbeat]
+                .into_iter()
+                .flatten()
+            {
                 spans.close(i, at);
             }
         }
-        for js in self.jobs.values() {
-            for i in [js.root, js.queue, js.heartbeat].into_iter().flatten() {
-                spans.close(i, at);
-            }
-        }
-        for &i in self.tasks.values() {
+        for &i in tasks.values() {
             spans.close(i, at);
         }
-        for rs in self.recoveries.values() {
+        for rs in recoveries.values() {
             spans.close(rs.root, at);
             spans.close(rs.phase, at);
         }
-        let mut out = self.out;
-        out.spans = self.spans.0;
-        out.spans.sort_by_key(|s| s.id);
-        out.jobs = self.jobs.into_iter().map(|(j, s)| (j, s.lead)).collect();
-        out.blocks = self
-            .blocks
-            .into_iter()
-            .map(|(k, b)| (k, b.timeline))
-            .collect();
+        // Span ids and record seqs are unique, so these unstable sorts
+        // order as stable ones would. The spans were opened in id order,
+        // so their sort only checks.
+        out.spans = spans.0;
+        out.spans.sort_unstable_by_key(|s| s.id);
+        out.marks.sort_unstable_by_key(|m| (m.node, m.block, m.seq));
+        out.assignments.sort_by_key(|a| (a.job, a.block));
+        // Each eviction closes the oldest `resident` span its block still
+        // has open; the others stay open to the end of the stream.
+        let mut ends = Vec::new();
+        let mut from = 0;
+        for marks in out.marks.chunk_by(|a, b| a.key() == b.key()) {
+            out.index.push((marks[0].key(), from));
+            from += marks.len();
+            let mut residents = marks
+                .iter()
+                .filter(|m| matches!(m.mark, Mark::Completed { .. }));
+            let mut open = 0;
+            for m in marks {
+                match m.mark {
+                    Mark::Completed { .. } => open += 1,
+                    Mark::Evicted if open > 0 => {
+                        open -= 1;
+                        ends.extend(residents.next().map(|done| (resident_id(done.seq), m.at)));
+                    }
+                    _ => {}
+                }
+            }
+            ends.extend(residents.map(|done| (resident_id(done.seq), at)));
+        }
+        ends.sort_unstable();
+        let mut ends = ends.into_iter().peekable();
+        for s in &mut out.spans {
+            if let Some((_, at)) = ends.next_if(|&(id, _)| id == s.id) {
+                s.end = at;
+            }
+        }
         out
     }
 }

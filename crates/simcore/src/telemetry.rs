@@ -31,6 +31,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
+use crate::text::{Integer, Text};
 use crate::time::SimTime;
 
 /// One end of a control-plane message.
@@ -431,22 +432,22 @@ impl Event {
                 plan,
                 stage,
             } => {
-                push_u64(out, "job", *job);
+                push_int(out, "job", *job);
                 push_str(out, "name", name);
-                push_u64(out, "plan", *plan);
-                push_u64(out, "stage", *stage);
+                push_int(out, "plan", *plan);
+                push_int(out, "stage", *stage);
             }
-            Event::JobScheduled { job } => push_u64(out, "job", *job),
+            Event::JobScheduled { job } => push_int(out, "job", *job),
             Event::JobCompleted { job, duration_us } => {
-                push_u64(out, "job", *job);
-                push_u64(out, "duration_us", *duration_us);
+                push_int(out, "job", *job);
+                push_int(out, "duration_us", *duration_us);
             }
             Event::TaskAssigned { task, job, node }
             | Event::TaskStarted { task, job, node }
             | Event::TaskFinished { task, job, node } => {
-                push_u64(out, "task", *task);
-                push_u64(out, "job", *job);
-                push_u64(out, "node", *node as u64);
+                push_int(out, "task", *task);
+                push_int(out, "job", *job);
+                push_int(out, "node", *node);
             }
             Event::BlockRead {
                 task,
@@ -457,16 +458,16 @@ impl Event {
                 class,
                 duration_us,
             } => {
-                push_u64(out, "task", *task);
-                push_u64(out, "job", *job);
-                push_u64(out, "block", *block);
-                push_u64(out, "node", *node as u64);
-                push_u64(out, "bytes", *bytes);
+                push_int(out, "task", *task);
+                push_int(out, "job", *job);
+                push_int(out, "block", *block);
+                push_int(out, "node", *node);
+                push_int(out, "bytes", *bytes);
                 push_str(out, "class", class.tag());
-                push_u64(out, "duration_us", *duration_us);
+                push_int(out, "duration_us", *duration_us);
             }
             Event::MigrationRejected { job, reason } => {
-                push_u64(out, "job", *job);
+                push_int(out, "job", *job);
                 push_str(out, "reason", reason);
             }
             Event::MigrationAssigned {
@@ -475,10 +476,10 @@ impl Event {
                 node,
                 bytes,
             } => {
-                push_u64(out, "job", *job);
-                push_u64(out, "block", *block);
-                push_u64(out, "node", *node as u64);
-                push_u64(out, "bytes", *bytes);
+                push_int(out, "job", *job);
+                push_int(out, "block", *block);
+                push_int(out, "node", *node);
+                push_int(out, "bytes", *bytes);
             }
             Event::MigrationEnqueued {
                 node,
@@ -486,44 +487,44 @@ impl Event {
                 block,
                 bytes,
             } => {
-                push_u64(out, "node", *node as u64);
-                push_u64(out, "job", *job);
-                push_u64(out, "block", *block);
-                push_u64(out, "bytes", *bytes);
+                push_int(out, "node", *node);
+                push_int(out, "job", *job);
+                push_int(out, "block", *block);
+                push_int(out, "bytes", *bytes);
             }
             Event::MigrationStarted { node, block, bytes }
             | Event::MigrationCompleted { node, block, bytes }
             | Event::MigrationWasted { node, block, bytes }
             | Event::BlockEvicted { node, block, bytes } => {
-                push_u64(out, "node", *node as u64);
-                push_u64(out, "block", *block);
-                push_u64(out, "bytes", *bytes);
+                push_int(out, "node", *node);
+                push_int(out, "block", *block);
+                push_int(out, "bytes", *bytes);
             }
             Event::MigrationDiscarded { node, block }
             | Event::MigrationCancelled { node, block } => {
-                push_u64(out, "node", *node as u64);
-                push_u64(out, "block", *block);
+                push_int(out, "node", *node);
+                push_int(out, "block", *block);
             }
             Event::RpcSent { from, to }
             | Event::RpcDropped { from, to }
             | Event::RpcDuplicated { from, to }
             | Event::RpcCut { from, to } => {
-                push_i64(out, "from", from.as_i64());
-                push_i64(out, "to", to.as_i64());
+                push_int(out, "from", from.as_i64());
+                push_int(out, "to", to.as_i64());
             }
             Event::RpcRetried { seq, node, attempt } => {
-                push_u64(out, "rpc_seq", *seq);
-                push_u64(out, "node", *node as u64);
-                push_u64(out, "attempt", *attempt as u64);
+                push_int(out, "rpc_seq", *seq);
+                push_int(out, "node", *node);
+                push_int(out, "attempt", *attempt);
             }
-            Event::RpcAcked { seq } => push_u64(out, "rpc_seq", *seq),
+            Event::RpcAcked { seq } => push_int(out, "rpc_seq", *seq),
             Event::RpcGaveUp { seq, node } => {
-                push_u64(out, "rpc_seq", *seq);
-                push_u64(out, "node", *node as u64);
+                push_int(out, "rpc_seq", *seq);
+                push_int(out, "node", *node);
             }
             Event::LeaseExpired { node, job } => {
-                push_u64(out, "node", *node as u64);
-                push_u64(out, "job", *job);
+                push_int(out, "node", *node);
+                push_int(out, "job", *job);
             }
             Event::EpochRejected {
                 node,
@@ -535,19 +536,19 @@ impl Event {
                 stale,
                 current,
             } => {
-                push_u64(out, "node", *node as u64);
-                push_u64(out, "stale", *stale);
-                push_u64(out, "current", *current);
+                push_int(out, "node", *node);
+                push_int(out, "stale", *stale);
+                push_int(out, "current", *current);
             }
-            Event::NodeCrashed { node } => push_u64(out, "node", *node as u64),
+            Event::NodeCrashed { node } => push_int(out, "node", *node),
             Event::NodeRestarted { node, incarnation }
             | Event::SlaveRegistered { node, incarnation } => {
-                push_u64(out, "node", *node as u64);
-                push_u64(out, "incarnation", *incarnation);
+                push_int(out, "node", *node);
+                push_int(out, "incarnation", *incarnation);
             }
             Event::BlockReportReceived { node, blocks } => {
-                push_u64(out, "node", *node as u64);
-                push_u64(out, "blocks", *blocks);
+                push_int(out, "node", *node);
+                push_int(out, "blocks", *blocks);
             }
             Event::RereplicationStarted {
                 block,
@@ -555,14 +556,14 @@ impl Event {
                 target,
                 bytes,
             } => {
-                push_u64(out, "block", *block);
-                push_u64(out, "source", *source as u64);
-                push_u64(out, "target", *target as u64);
-                push_u64(out, "bytes", *bytes);
+                push_int(out, "block", *block);
+                push_int(out, "source", *source);
+                push_int(out, "target", *target);
+                push_int(out, "bytes", *bytes);
             }
             Event::RereplicationDeferred { block, attempt } => {
-                push_u64(out, "block", *block);
-                push_u64(out, "attempt", *attempt as u64);
+                push_int(out, "block", *block);
+                push_int(out, "attempt", *attempt);
             }
             Event::FaultInjected { desc } | Event::FaultHealed { desc } => {
                 push_str(out, "desc", desc);
@@ -571,18 +572,11 @@ impl Event {
     }
 }
 
-fn push_u64(out: &mut String, key: &str, v: u64) {
+fn push_int(out: &mut String, key: &str, v: impl Integer) {
     out.push_str(",\"");
     out.push_str(key);
     out.push_str("\":");
-    out.push_str(&v.to_string());
-}
-
-fn push_i64(out: &mut String, key: &str, v: i64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&v.to_string());
+    out.push_int(v);
 }
 
 fn push_str(out: &mut String, key: &str, v: &str) {
@@ -629,16 +623,21 @@ impl EventRecord {
     /// traces.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);
-        s.push_str("{\"seq\":");
-        s.push_str(&self.seq.to_string());
-        s.push_str(",\"at_us\":");
-        s.push_str(&self.at.as_micros().to_string());
-        s.push_str(",\"type\":\"");
-        s.push_str(self.event.kind());
-        s.push('"');
-        self.event.json_fields(&mut s);
-        s.push('}');
+        self.write_json(&mut s);
         s
+    }
+
+    /// Appends [`to_json`](Self::to_json)'s rendering to `out`.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"seq\":");
+        out.push_int(self.seq);
+        out.push_str(",\"at_us\":");
+        out.push_int(self.at.as_micros());
+        out.push_str(",\"type\":\"");
+        out.push_str(self.event.kind());
+        out.push('"');
+        self.event.json_fields(out);
+        out.push('}');
     }
 }
 
@@ -832,7 +831,7 @@ impl FlightRecorder {
         let state = self.state.borrow();
         let mut out = String::with_capacity(state.buf.len() * 96);
         for rec in &state.buf {
-            out.push_str(&rec.to_json());
+            rec.write_json(&mut out);
             out.push('\n');
         }
         out
