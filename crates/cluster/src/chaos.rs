@@ -22,10 +22,11 @@
 //!    `MigrationCompleted` (and every wasted or cancelled read) matches an
 //!    earlier `MigrationStarted` for the same `(node, block)`, and no node
 //!    evicts more migrated bytes than it completed migrating.
-//! 7. **Ledger conservation**: the double-entry residency ledger balances
-//!    against the final resident bytes, and (when the recorder kept the
-//!    whole stream) its credit/debit sides equal the bytes the event
-//!    stream says were migrated and evicted.
+//! 7. **Ledger conservation**: the slaves' residency ledgers
+//!    ([`RunMetrics::ledger`]) balance against the final resident bytes,
+//!    and (when the recorder kept the whole stream) their credit and debit
+//!    sides equal the bytes the event stream says were migrated and
+//!    evicted, and the eviction count the `BlockEvicted` records.
 //! 8. **Recovery convergence** (runs with [`Fault::NodeCrash`] injected):
 //!    after the last fault heals, no dangling dead-incarnation state
 //!    remains anywhere — every crashed node that survived to the end
@@ -66,7 +67,7 @@ use ignem_simcore::units::MIB;
 
 use crate::config::{ClusterConfig, FsMode};
 use crate::explain::{LossCause, TelemetryReport};
-use crate::metrics::RunMetrics;
+use crate::metrics::{LedgerEntry, RunMetrics};
 use crate::sanitizer::{fnv1a, FNV_OFFSET};
 use crate::world::{Fault, PlannedJob, World, WorldSnapshot};
 
@@ -242,19 +243,18 @@ impl ChaosReport {
         }
     }
 
-    /// Invariant 7: the residency ledger balances. The total balance must
-    /// equal the migrated bytes still resident, and — when the flight
-    /// recorder kept the whole run — each side of the ledger must equal
-    /// what the event stream witnessed (credits ↔ completed migrations,
-    /// debits ↔ evictions, one `BlockEvicted` per counted eviction).
+    /// Invariant 7: the slaves' residency ledgers balance. The total
+    /// balance must equal the migrated bytes still resident, and — when
+    /// the flight recorder kept the whole run — each side must equal what
+    /// the event stream witnessed (credits ↔ completed migrations, debits
+    /// ↔ evictions, one `BlockEvicted` per counted eviction).
     fn check_ledger(&self) -> Result<(), String> {
         let ledger = &self.metrics.ledger;
-        if ledger.total_balance() != self.metrics.final_migrated_bytes {
+        let balance: u64 = ledger.iter().map(LedgerEntry::balance).sum();
+        if balance != self.metrics.final_migrated_bytes {
             return Err(format!(
-                "ledger balance {} != final migrated bytes {} (faults: {:?})",
-                ledger.total_balance(),
-                self.metrics.final_migrated_bytes,
-                self.faults
+                "ledger balance {balance} != final migrated bytes {} (faults: {:?})",
+                self.metrics.final_migrated_bytes, self.faults
             ));
         }
         if self.events_dropped != 0 {
@@ -273,8 +273,8 @@ impl ChaosReport {
                 _ => {}
             }
         }
-        let credited: u64 = ledger.entries.iter().map(|e| e.credited).sum();
-        let debited: u64 = ledger.entries.iter().map(|e| e.debited).sum();
+        let credited: u64 = ledger.iter().map(|e| e.credited).sum();
+        let debited: u64 = ledger.iter().map(|e| e.debited).sum();
         if credited != completed_bytes {
             return Err(format!(
                 "ledger credits {credited} != {completed_bytes} bytes of completed \
@@ -520,7 +520,7 @@ pub fn fingerprint(m: &RunMetrics) -> u64 {
     ] {
         h.u64(v);
     }
-    for e in &m.ledger.entries {
+    for e in &m.ledger {
         h.u64(e.credited);
         h.u64(e.debited);
     }

@@ -44,9 +44,7 @@ pub mod prelude {
     pub use crate::explain::{
         BlockVerdict, JobLeadTime, LeakRecord, LossCause, TelemetryReport, Verdict,
     };
-    pub use crate::metrics::{
-        BlockRead, JobResult, LedgerEntry, PlanResult, ReadKind, ResidencyLedger, RunMetrics,
-    };
+    pub use crate::metrics::{BlockRead, JobResult, LedgerEntry, PlanResult, ReadKind, RunMetrics};
     pub use crate::sanitizer::{first_divergence, Divergence, DoubleRun};
     pub use crate::sweep::{default_jobs, sweep};
     pub use crate::world::{ArrivalSource, Fault, PlannedJob, World};

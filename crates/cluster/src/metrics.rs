@@ -52,9 +52,11 @@ pub struct PlanResult {
 
 /// One node's double-entry residency account: bytes credited into the
 /// migration buffer by completed migrations, bytes debited out by
-/// evictions, purges and restarts. The balance is the bytes that must be
-/// migrated-resident right now — any drift from the MemStore's own
-/// occupancy is an accounting bug, not a policy choice.
+/// evictions, purges and restarts. The slave keeps both sides itself
+/// ([`SlaveStats::migrated_bytes`] and [`SlaveStats::evicted_bytes`]) and
+/// checks the balance against its MemStore's occupancy
+/// ([`IgnemSlave::check_consistency`](ignem_core::slave::IgnemSlave::check_consistency)):
+/// any drift is an accounting bug, not a policy choice.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LedgerEntry {
     /// Bytes admitted as migrated-resident (credit side).
@@ -74,57 +76,6 @@ impl LedgerEntry {
         self.credited
             .checked_sub(self.debited)
             .expect("residency ledger went negative")
-    }
-}
-
-/// Per-node resident-bytes ledger for the migration buffers.
-///
-/// [`World`](crate::world::World) keeps it synchronized with the slaves'
-/// own counters and, when per-event validation is on, reconciles every
-/// node's balance against its MemStore occupancy after every event. The
-/// final state is exported in [`RunMetrics::ledger`] so end-of-run checks
-/// (chaos invariants, reports) can audit conservation without replaying
-/// the event stream.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ResidencyLedger {
-    /// One account per node, indexed by node id.
-    pub entries: Vec<LedgerEntry>,
-}
-
-impl ResidencyLedger {
-    /// An empty ledger with one zeroed account per node.
-    pub fn new(nodes: usize) -> Self {
-        ResidencyLedger {
-            entries: vec![LedgerEntry::default(); nodes],
-        }
-    }
-
-    /// Overwrites one node's account with the authoritative counters.
-    pub fn record(&mut self, node: usize, credited: u64, debited: u64) {
-        self.entries[node] = LedgerEntry { credited, debited };
-    }
-
-    /// Checks one node's balance against the observed resident bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the discrepancy when the account and the
-    /// observation disagree.
-    pub fn reconcile(&self, node: usize, resident: u64) -> Result<(), String> {
-        let e = &self.entries[node];
-        if e.credited.checked_sub(e.debited) != Some(resident) {
-            return Err(format!(
-                "node{node} ledger out of balance: credited {} - debited {} != resident {resident}",
-                e.credited, e.debited
-            ));
-        }
-        Ok(())
-    }
-
-    /// Sum of all node balances: migrated bytes the ledger says are still
-    /// resident cluster-wide.
-    pub fn total_balance(&self) -> u64 {
-        self.entries.iter().map(|e| e.balance()).sum()
     }
 }
 
@@ -159,10 +110,10 @@ pub struct RunMetrics {
     /// Migrated bytes still resident in slave buffers at the end of the
     /// run. Zero when the reference lists drained.
     pub final_migrated_bytes: u64,
-    /// Final per-node residency accounts (see [`ResidencyLedger`]); the
-    /// total balance equals `final_migrated_bytes` plus whatever dead
-    /// nodes' purges already zeroed out.
-    pub ledger: ResidencyLedger,
+    /// Final residency account of each node, in node order (see
+    /// [`LedgerEntry`]). A dead node's purge debited everything it held,
+    /// so the total balance equals `final_migrated_bytes`.
+    pub ledger: Vec<LedgerEntry>,
     /// Per-node disk busy fraction over the makespan.
     pub disk_utilization: Vec<f64>,
     /// Blocks re-replicated after node failures.
@@ -365,16 +316,19 @@ mod tests {
     }
 
     #[test]
-    fn ledger_balances_and_reconciles() {
-        let mut l = ResidencyLedger::new(2);
-        l.record(0, 128, 64);
-        l.record(1, 10, 10);
-        assert_eq!(l.entries[0].balance(), 64);
-        assert_eq!(l.total_balance(), 64);
-        assert!(l.reconcile(0, 64).is_ok());
-        assert!(l.reconcile(1, 0).is_ok());
-        let err = l.reconcile(0, 0).unwrap_err();
-        assert!(err.contains("out of balance"), "{err}");
+    fn ledger_entries_balance() {
+        let l = [
+            LedgerEntry {
+                credited: 128,
+                debited: 64,
+            },
+            LedgerEntry {
+                credited: 10,
+                debited: 10,
+            },
+        ];
+        assert_eq!(l[0].balance(), 64);
+        assert_eq!(l.iter().map(LedgerEntry::balance).sum::<u64>(), 64);
     }
 
     #[test]

@@ -70,11 +70,13 @@
 //! job's references additionally carry a lease renewed by the job's own
 //! control traffic and by liveness replies; lease-check timers expire
 //! orphaned references deterministically even when the cleanup sweep has
-//! already wound down. A per-node double-entry [`ResidencyLedger`] mirrors
-//! the slaves' migrated/evicted byte counters and, under
-//! [`with_validation`](World::with_validation), is reconciled against every
-//! MemStore's occupancy after every event. All three mechanisms are inert
-//! in a fault-free run: no events, no randomness, no behaviour change.
+//! already wound down. Each slave keeps a double-entry residency ledger in
+//! its own counters (bytes migrated in, bytes evicted out); under
+//! [`with_validation`](World::with_validation) its balance is checked
+//! against the node's MemStore occupancy after every event that touches
+//! the node, and [`RunMetrics::ledger`] reports the final accounts. All
+//! three mechanisms are inert in a fault-free run: no events, no
+//! randomness, no behaviour change.
 
 // Deterministic-iteration policy (lint rule D02): every map or set this
 // module iterates is an ordered container — a dense `IdMap`/`IdSet`
@@ -114,7 +116,7 @@ use ignem_storage::memstore::{MemStore, Residency};
 
 use crate::columns::BitCol;
 use crate::config::{ClusterConfig, FsMode};
-use crate::metrics::{BlockRead, JobResult, PlanResult, ReadKind, ResidencyLedger, RunMetrics};
+use crate::metrics::{BlockRead, JobResult, LedgerEntry, PlanResult, ReadKind, RunMetrics};
 
 /// Interval of the master's reference-list cleanup sweep — the backstop
 /// that reclaims references a slave acquired from a command delivered
@@ -479,9 +481,6 @@ pub struct World {
     validate: bool,
 
     net_gen: u64,
-    /// Per-node residency accounts, mirrored from the slaves' counters
-    /// (see module docs).
-    ledger: ResidencyLedger,
 
     tracker: JobTracker,
     slots: Slots,
@@ -551,7 +550,7 @@ pub struct World {
 /// engine's event queue (event heap, insertion sequence, clock,
 /// processed count), NameNode, master, slaves, MemStores, storage
 /// devices, fabric, RPC channel with its in-flight retransmissions, both
-/// RNG streams, the residency ledger, accumulated run metrics, fault
+/// RNG streams, accumulated run metrics, fault
 /// suppression flags, and the telemetry/metrics *cursors* (emission seq,
 /// open metrics window and totals).
 ///
@@ -687,7 +686,6 @@ impl World {
             rpc_rng,
             validate: false,
             net_gen: 0,
-            ledger: ResidencyLedger::new(cfg.nodes),
             tracker: JobTracker::new(),
             slots,
             next_job: 0,
@@ -782,23 +780,14 @@ impl World {
         self
     }
 
-    /// Enables per-event invariant checking: after every event, each alive
-    /// slave's reference lists and memory accounting are cross-checked
-    /// against its MemStore ([`IgnemSlave::check_consistency`]). Expensive;
-    /// meant for the chaos harness.
+    /// Enables per-event invariant checking: after every event, each slave
+    /// the event touched, dead or alive, has its reference lists, memory
+    /// accounting and residency ledger cross-checked against its MemStore
+    /// ([`IgnemSlave::check_consistency`]). Expensive; meant for the chaos
+    /// harness.
     pub fn with_validation(mut self) -> Self {
         self.validate = true;
         self
-    }
-
-    /// Copies every slave's authoritative migrated/evicted byte counters
-    /// into the residency ledger. Cheap (one entry per node), so it runs
-    /// per event under validation and once more at finalization.
-    fn sync_ledger(&mut self) {
-        for n in 0..self.cfg.nodes {
-            let st = self.slaves[n].stats();
-            self.ledger.record(n, st.migrated_bytes, st.evicted_bytes);
-        }
     }
 
     fn check_invariants(&mut self) {
@@ -811,26 +800,18 @@ impl World {
             // liveness transition moves the stamp: node death bumps the
             // slave version via `IgnemSlave::fail`, and a crash-restart
             // bumps it again via `IgnemSlave::restart` plus the MemStore
-            // version via the crash wipe.)
+            // version via the crash wipe.) Dead nodes are checked too: a
+            // failed slave is empty, and its purge debited everything it
+            // held, so its ledger settles at zero residency.
             let stamp = (self.slaves[n].version(), self.mems[n].version());
             if self.cols.validated[n] == stamp {
                 continue;
             }
-            let st = self.slaves[n].stats();
-            self.ledger.record(n, st.migrated_bytes, st.evicted_bytes);
-            // The ledger must balance on every node, dead ones included: a
-            // slave's restart/purge debits everything it held, so a dead
-            // node's account settles at zero residency.
-            if let Err(e) = self.ledger.reconcile(n, self.mems[n].migrated_used()) {
-                panic!("ledger violated at {}: {e}", self.engine.now());
-            }
-            if self.cols.alive.get(n) {
-                if let Err(e) = self.slaves[n].check_consistency(&self.mems[n]) {
-                    panic!(
-                        "slave invariant violated on node{n} at {}: {e}",
-                        self.engine.now()
-                    );
-                }
+            if let Err(e) = self.slaves[n].check_consistency(&self.mems[n]) {
+                panic!(
+                    "slave invariant violated on node{n} at {}: {e}",
+                    self.engine.now()
+                );
             }
             self.cols.validated[n] = stamp;
         }
@@ -1102,6 +1083,10 @@ impl World {
             .collect();
         for s in &self.slaves {
             let st = s.stats();
+            metrics.ledger.push(LedgerEntry {
+                credited: st.migrated_bytes,
+                debited: st.evicted_bytes,
+            });
             let agg = &mut metrics.slave_stats;
             agg.commands += st.commands;
             agg.migrated += st.migrated;
@@ -1117,8 +1102,6 @@ impl World {
             agg.lease_expiries += st.lease_expiries;
             agg.stale_incarnations += st.stale_incarnations;
         }
-        self.sync_ledger();
-        metrics.ledger = self.ledger.clone();
         metrics.master_stats = self.master.stats();
         metrics.rpc = self.rpc.stats();
         for n in 0..self.cfg.nodes {

@@ -117,7 +117,8 @@ pub struct SlaveStats {
     pub commands: u64,
     /// Blocks successfully migrated into memory.
     pub migrated: u64,
-    /// Bytes successfully migrated into memory.
+    /// Bytes successfully migrated into memory — the credit side of the
+    /// residency ledger.
     pub migrated_bytes: u64,
     /// Commands satisfied by a block already resident or in flight
     /// (reference added, no extra read).
@@ -412,7 +413,7 @@ impl IgnemSlave {
             }
             std::cmp::Ordering::Equal => Some(Vec::new()),
             std::cmp::Ordering::Greater => {
-                let actions = self.purge_for_new_master(now, mem);
+                let actions = self.purge(now, mem);
                 self.epoch = epoch;
                 Some(actions)
             }
@@ -631,32 +632,9 @@ impl IgnemSlave {
         mem: &mut MemStore<BlockId>,
     ) -> Vec<SlaveAction> {
         self.version += 1;
-        // Missed reads: drop queued interest.
-        let mut removed_interest = false;
-        let mut drop_queue_entry = false;
-        if let Some(q) = self.queue.get_mut(&block) {
-            if q.waiters.iter().any(|w| w.job == job) {
-                q.waiters.retain(|w| w.job != job);
-                removed_interest = true;
-                drop_queue_entry = q.waiters.is_empty();
-            }
-        }
-        if drop_queue_entry {
-            self.queue.remove(&block);
-            self.stats.discarded += 1;
-            self.telemetry.emit(|| Event::MigrationDiscarded {
-                node: self.node.0,
-                block: block.0,
-            });
-        }
-        // In-flight interest: the read is finishing anyway; this job no
-        // longer needs a reference afterwards.
-        if let Some(cur) = self.current.get_mut(&block) {
-            if cur.waiters.iter().any(|w| w.job == job) {
-                cur.waiters.retain(|w| w.job != job);
-                removed_interest = true;
-            }
-        }
+        // Missed reads: drop queued and in-flight interest (an in-flight
+        // read is finishing anyway; this job needs no reference after it).
+        let mut removed_interest = self.drop_waiter(block, job);
         // Implicit eviction of a resident reference.
         let mut evict = false;
         if let Some(list) = self.refs.get_mut(&block) {
@@ -674,16 +652,7 @@ impl IgnemSlave {
         }
         if evict {
             self.refs.remove(&block);
-            let bytes = mem.remove(now, &block).unwrap_or(0);
-            self.stats.evicted += 1;
-            self.stats.evicted_bytes += bytes;
-            self.metrics
-                .counter_add("evicted_bytes", self.node.0 as u64, bytes);
-            self.telemetry.emit(|| Event::BlockEvicted {
-                node: self.node.0,
-                block: block.0,
-                bytes,
-            });
+            self.evict(now, block, mem);
         }
         // The read proves the job alive; renew whatever interest remains.
         self.touch_lease(now, job);
@@ -705,28 +674,16 @@ impl IgnemSlave {
     ) -> Vec<SlaveAction> {
         self.version += 1;
         self.epoch = self.epoch.max(new_epoch);
-        self.purge_for_new_master(now, mem)
+        self.purge(now, mem)
     }
 
-    /// The shared §III-A5 purge: drop every reference (evicting resident
-    /// blocks), queued entry and lease, and cancel in-flight reads.
-    fn purge_for_new_master(
-        &mut self,
-        now: SimTime,
-        mem: &mut MemStore<BlockId>,
-    ) -> Vec<SlaveAction> {
+    /// The §III-A5 purge shared by master failover and slave failure: drop
+    /// every reference (evicting resident blocks), queued entry and lease,
+    /// and cancel in-flight reads.
+    fn purge(&mut self, now: SimTime, mem: &mut MemStore<BlockId>) -> Vec<SlaveAction> {
         self.stats.purges += 1;
-        for (block, _) in std::mem::take(&mut self.refs) {
-            let bytes = mem.remove(now, &block).unwrap_or(0);
-            self.stats.evicted += 1;
-            self.stats.evicted_bytes += bytes;
-            self.metrics
-                .counter_add("evicted_bytes", self.node.0 as u64, bytes);
-            self.telemetry.emit(|| Event::BlockEvicted {
-                node: self.node.0,
-                block: block.0,
-                bytes,
-            });
+        for block in std::mem::take(&mut self.refs).into_keys() {
+            self.evict(now, block, mem);
         }
         self.queue.clear();
         self.job_blocks.clear();
@@ -745,31 +702,13 @@ impl IgnemSlave {
     /// pre-failover retransmissions.
     pub fn fail(&mut self, now: SimTime, mem: &mut MemStore<BlockId>) -> Vec<SlaveAction> {
         self.version += 1;
-        self.stats.purges += 1;
-        for (block, _) in std::mem::take(&mut self.refs) {
-            let bytes = mem.remove(now, &block).unwrap_or(0);
-            self.stats.evicted += 1;
-            self.stats.evicted_bytes += bytes;
-            self.metrics
-                .counter_add("evicted_bytes", self.node.0 as u64, bytes);
-            self.telemetry.emit(|| Event::BlockEvicted {
-                node: self.node.0,
-                block: block.0,
-                bytes,
-            });
-        }
+        let actions = self.purge(now, mem);
         // Anything still migrated-resident (impossible while the bijection
         // invariant holds, but purged defensively) is debited too so the
         // ledger stays balanced.
         self.stats.evicted_bytes += mem.migrated_used();
         mem.purge_migrated(now);
-        self.queue.clear();
-        self.job_blocks.clear();
-        self.lease_expiry.clear();
-        std::mem::take(&mut self.current)
-            .into_keys()
-            .map(|block| SlaveAction::CancelRead { block })
-            .collect()
+        actions
     }
 
     /// Result of a [`SlaveAction::QueryJobLiveness`]: `dead` lists the
@@ -805,7 +744,9 @@ impl IgnemSlave {
     /// * migrated bytes plus in-flight migration bytes never exceed the
     ///   configured buffer capacity (memory-accounting conservation);
     /// * a block is in at most one of {queued, in flight, resident};
-    /// * the job → blocks interest index matches the waiters/references.
+    /// * the job → blocks interest index matches the waiters/references;
+    /// * the residency ledger balances: [`SlaveStats::migrated_bytes`]
+    ///   minus [`SlaveStats::evicted_bytes`] is the migrated-resident bytes.
     ///
     /// # Errors
     ///
@@ -972,35 +913,54 @@ impl IgnemSlave {
                 list.retain(|&(j, _)| j != job);
                 if list.is_empty() {
                     self.refs.remove(&block);
-                    let bytes = mem.remove(now, &block).unwrap_or(0);
-                    self.stats.evicted += 1;
-                    self.stats.evicted_bytes += bytes;
-                    self.metrics
-                        .counter_add("evicted_bytes", self.node.0 as u64, bytes);
-                    self.telemetry.emit(|| Event::BlockEvicted {
-                        node: self.node.0,
-                        block: block.0,
-                        bytes,
-                    });
+                    self.evict(now, block, mem);
                 }
-                continue;
-            }
-            if let Some(q) = self.queue.get_mut(&block) {
-                q.waiters.retain(|w| w.job != job);
-                if q.waiters.is_empty() {
-                    self.queue.remove(&block);
-                    self.stats.discarded += 1;
-                    self.telemetry.emit(|| Event::MigrationDiscarded {
-                        node: self.node.0,
-                        block: block.0,
-                    });
-                }
-                continue;
-            }
-            if let Some(cur) = self.current.get_mut(&block) {
-                cur.waiters.retain(|w| w.job != job);
+            } else {
+                self.drop_waiter(block, job);
             }
         }
+    }
+
+    /// Removes a migrated block whose reference list is gone from memory:
+    /// the one eviction path, which debits the bytes and emits
+    /// `BlockEvicted` (the counters match the events one-for-one).
+    fn evict(&mut self, now: SimTime, block: BlockId, mem: &mut MemStore<BlockId>) {
+        let bytes = mem.remove(now, &block).unwrap_or(0);
+        self.stats.evicted += 1;
+        self.stats.evicted_bytes += bytes;
+        self.metrics
+            .counter_add("evicted_bytes", self.node.0 as u64, bytes);
+        self.telemetry.emit(|| Event::BlockEvicted {
+            node: self.node.0,
+            block: block.0,
+            bytes,
+        });
+    }
+
+    /// Drops `job` from the waiters of `block`'s queued entry or in-flight
+    /// read, discarding a queued entry no job waits for any more. Returns
+    /// whether the job was waiting.
+    fn drop_waiter(&mut self, block: BlockId, job: JobId) -> bool {
+        let mut dropped = false;
+        if let Some(q) = self.queue.get_mut(&block) {
+            let before = q.waiters.len();
+            q.waiters.retain(|w| w.job != job);
+            dropped = q.waiters.len() < before;
+            if q.waiters.is_empty() {
+                self.queue.remove(&block);
+                self.stats.discarded += 1;
+                self.telemetry.emit(|| Event::MigrationDiscarded {
+                    node: self.node.0,
+                    block: block.0,
+                });
+            }
+        }
+        if let Some(cur) = self.current.get_mut(&block) {
+            let before = cur.waiters.len();
+            cur.waiters.retain(|w| w.job != job);
+            dropped |= cur.waiters.len() < before;
+        }
+        dropped
     }
 
     /// Work-conserving start: if idle, start the highest-priority queued

@@ -29,11 +29,10 @@
 //!
 //! A violation is suppressed only by `// lint: allow(<rule>, reason =
 //! "...")` with a non-empty reason, placed on the violating line or the
-//! line directly above. Test code (`#[cfg(test)]` / `#[test]` items) is
-//! exempt from every rule. CI gates on [`baseline_diff`] against the
-//! committed `ANALYZE_BASELINE.json` — new findings fail the build, and so
-//! do stale baseline entries that no longer fire (the baseline can only
-//! shrink together with the source that justified it).
+//! line directly above. Test code (`#[cfg(test)]` / `#[test]` items, as
+//! the [`parse`] pass marks them) is exempt from every rule. The gate is a
+//! clean report: the `ignem-lint` binary exits nonzero on any finding, and
+//! the `self_check` test asserts [`LintReport::is_clean`] on the workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +46,6 @@ pub mod symbols;
 pub mod taint;
 pub mod xcheck;
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -98,45 +96,6 @@ impl LintReport {
         s.push_str("]}");
         s
     }
-
-    /// Restricts the report to violations in `files` (workspace-relative
-    /// paths). Analysis always runs over the whole workspace — cross-crate
-    /// passes need global context — and `--changed` only narrows what is
-    /// *reported*, so a filtered run flags exactly what a full run flags on
-    /// those files.
-    pub fn filter_to_files(&self, files: &BTreeSet<String>) -> LintReport {
-        LintReport {
-            violations: self
-                .violations
-                .iter()
-                .filter(|v| files.contains(&v.file))
-                .cloned()
-                .collect(),
-            files_scanned: self.files_scanned,
-        }
-    }
-
-    /// Renders the report as a baseline file (rule/file/line triples).
-    pub fn to_baseline_json(&self) -> String {
-        let mut s = String::from("{\"entries\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n  {\"rule\":\"");
-            s.push_str(v.rule);
-            s.push_str("\",\"file\":\"");
-            json_escape_into(&v.file, &mut s);
-            s.push_str("\",\"line\":");
-            s.push_str(&v.line.to_string());
-            s.push('}');
-        }
-        if !self.violations.is_empty() {
-            s.push('\n');
-        }
-        s.push_str("]}\n");
-        s
-    }
 }
 
 /// Appends `src` to `out` as the body of a JSON string literal.
@@ -158,7 +117,7 @@ pub(crate) fn json_escape_into(src: &str, out: &mut String) {
 /// the per-file subset of the analysis. The fixture tests drive this.
 pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
     let unit = load_unit(rel, source);
-    let mut out = rules::check_file(rel, &unit.lexed);
+    let mut out = rules::check_file(&unit);
     if scope_for(rel).d10 {
         let units = [unit];
         let summaries = taint::build_summaries(&units);
@@ -321,7 +280,7 @@ pub fn run_analysis(root: &Path) -> io::Result<LintReport> {
     let docs = load_docs(root);
     let mut violations = Vec::new();
     for unit in &units {
-        violations.extend(rules::check_file(&unit.rel, &unit.lexed));
+        violations.extend(rules::check_file(unit));
     }
     violations.extend(analyze_units(&units, &docs));
     violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -329,204 +288,4 @@ pub fn run_analysis(root: &Path) -> io::Result<LintReport> {
         violations,
         files_scanned: units.len(),
     })
-}
-
-/// One accepted finding in the committed baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// Rule id.
-    pub rule: String,
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-}
-
-/// The two failure directions of a baseline comparison.
-#[derive(Debug, Default)]
-pub struct BaselineDiff {
-    /// Findings not covered by the baseline — regressions; fail the build.
-    pub new: Vec<Violation>,
-    /// Baseline entries that no longer fire — a stale baseline; fail the
-    /// build so the file shrinks together with the fix that earned it.
-    pub stale: Vec<BaselineEntry>,
-}
-
-impl BaselineDiff {
-    /// Whether the report matches the baseline exactly.
-    pub fn is_clean(&self) -> bool {
-        self.new.is_empty() && self.stale.is_empty()
-    }
-}
-
-/// Parses the baseline file format written by
-/// [`LintReport::to_baseline_json`]. The parser is deliberately small — it
-/// accepts exactly the shape this tool writes (an `entries` array of
-/// `{"rule","file","line"}` objects, any whitespace).
-pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
-    let mut entries = Vec::new();
-    let mut rest = text;
-    if !rest.contains("\"entries\"") {
-        return Err("baseline missing \"entries\" key".to_string());
-    }
-    while let Some(pos) = rest.find("{\"rule\":\"") {
-        rest = &rest[pos + 9..];
-        let Some(q) = rest.find('"') else {
-            return Err("unterminated rule string".to_string());
-        };
-        let rule = rest[..q].to_string();
-        rest = &rest[q..];
-        let Some(pos) = rest.find("\"file\":\"") else {
-            return Err(format!("entry for rule {rule} missing \"file\""));
-        };
-        rest = &rest[pos + 8..];
-        let Some(q) = find_string_end(rest) else {
-            return Err("unterminated file string".to_string());
-        };
-        let file = unescape(&rest[..q]);
-        rest = &rest[q..];
-        let Some(pos) = rest.find("\"line\":") else {
-            return Err(format!("entry for {file} missing \"line\""));
-        };
-        rest = &rest[pos + 7..];
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        let line: u32 = digits
-            .parse()
-            .map_err(|_| format!("bad line number in entry for {file}"))?;
-        rest = &rest[digits.len()..];
-        entries.push(BaselineEntry { rule, file, line });
-    }
-    Ok(entries)
-}
-
-fn find_string_end(s: &str) -> Option<usize> {
-    let b = s.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        match b[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(i),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            if let Some(n) = chars.next() {
-                out.push(n);
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Compares a report against the committed baseline.
-///
-/// Matching is by (rule, file) with a line *tolerance* of zero — baselines
-/// pin exact lines, so unrelated edits that move an accepted finding force
-/// a deliberate baseline refresh. That is intended: the baseline should
-/// stay empty, and any entry in it should hurt a little.
-pub fn baseline_diff(report: &LintReport, baseline: &[BaselineEntry]) -> BaselineDiff {
-    let mut diff = BaselineDiff::default();
-    for v in &report.violations {
-        let covered = baseline
-            .iter()
-            .any(|b| b.rule == v.rule && b.file == v.file && b.line == v.line);
-        if !covered {
-            diff.new.push(v.clone());
-        }
-    }
-    for b in baseline {
-        let fires = report
-            .violations
-            .iter()
-            .any(|v| v.rule == b.rule && v.file == b.file && v.line == b.line);
-        if !fires {
-            diff.stale.push(b.clone());
-        }
-    }
-    diff
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn baseline_roundtrip_and_diff() {
-        let report = LintReport {
-            violations: vec![
-                Violation {
-                    rule: "D10",
-                    file: "crates/x/src/a.rs".into(),
-                    line: 3,
-                    message: "m".into(),
-                },
-                Violation {
-                    rule: "P02",
-                    file: "crates/y/src/b.rs".into(),
-                    line: 9,
-                    message: "n".into(),
-                },
-            ],
-            files_scanned: 2,
-        };
-        let text = report.to_baseline_json();
-        let parsed = parse_baseline(&text).expect("parses");
-        assert_eq!(parsed.len(), 2);
-        let diff = baseline_diff(&report, &parsed);
-        assert!(diff.is_clean());
-        // Drop one entry → that finding is new; add a bogus one → stale.
-        let mut edited = parsed.clone();
-        edited.remove(0);
-        edited.push(BaselineEntry {
-            rule: "Q01".into(),
-            file: "crates/z/src/c.rs".into(),
-            line: 1,
-        });
-        let diff = baseline_diff(&report, &edited);
-        assert_eq!(diff.new.len(), 1);
-        assert_eq!(diff.new[0].rule, "D10");
-        assert_eq!(diff.stale.len(), 1);
-        assert_eq!(diff.stale[0].rule, "Q01");
-    }
-
-    #[test]
-    fn empty_baseline_parses() {
-        let parsed = parse_baseline("{\"entries\":[]}\n").expect("parses");
-        assert!(parsed.is_empty());
-    }
-
-    #[test]
-    fn filter_to_files_narrows_reporting_only() {
-        let report = LintReport {
-            violations: vec![
-                Violation {
-                    rule: "D10",
-                    file: "crates/x/src/a.rs".into(),
-                    line: 3,
-                    message: "m".into(),
-                },
-                Violation {
-                    rule: "P02",
-                    file: "crates/y/src/b.rs".into(),
-                    line: 9,
-                    message: "n".into(),
-                },
-            ],
-            files_scanned: 2,
-        };
-        let only: BTreeSet<String> = ["crates/x/src/a.rs".to_string()].into_iter().collect();
-        let narrowed = report.filter_to_files(&only);
-        assert_eq!(narrowed.violations.len(), 1);
-        assert_eq!(narrowed.violations[0].rule, "D10");
-        assert_eq!(narrowed.files_scanned, 2);
-    }
 }

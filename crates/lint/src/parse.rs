@@ -3,7 +3,8 @@
 //! This is not a full grammar — it recovers exactly the structure the
 //! analysis passes need: function definitions (name, owner type, params,
 //! body token range), enum definitions (variants with lines), impl blocks,
-//! and whether each item sits under `#[cfg(test)]` / `#[test]`. Everything
+//! and whether each item sits under `#[cfg(test)]` / `#[test]`, with the
+//! token range of every test-only item for the token rules. Everything
 //! it does not understand it skips with balanced-delimiter recovery, so a
 //! construct outside the recognized subset degrades the analysis (a
 //! function not parsed is a function not checked) rather than corrupting
@@ -74,6 +75,10 @@ pub struct ParsedFile {
     pub enums: Vec<EnumDef>,
     /// All struct definitions.
     pub structs: Vec<StructDef>,
+    /// Token ranges `[start, end)` of the outermost test-only items, from
+    /// the item's first attribute to its end, ascending and disjoint. The
+    /// token rules skip them (test code is exempt from every rule).
+    pub test_ranges: Vec<(usize, usize)>,
 }
 
 impl ParsedFile {
@@ -139,7 +144,7 @@ fn skip_generics(tokens: &[Token], i: usize) -> usize {
 }
 
 /// Whether the attribute starting at `i` (a `#`) marks test-only code.
-pub(crate) fn is_test_attr(tokens: &[Token], i: usize) -> bool {
+fn is_test_attr(tokens: &[Token], i: usize) -> bool {
     let outer = tok_at(tokens, i + 1) == Some(&Tok::OpenBracket);
     if !outer {
         return false;
@@ -162,6 +167,7 @@ fn parse_items(
     out: &mut ParsedFile,
 ) {
     while i < end {
+        let start = i;
         // Attributes: accumulate test-ness, then fall through to the item.
         let mut item_test = in_test;
         while tok_at(tokens, i) == Some(&Tok::Pound) {
@@ -177,6 +183,29 @@ fn parse_items(
                 i = skip_balanced(tokens, j, &Tok::OpenBracket, &Tok::CloseBracket);
             } else {
                 i = j;
+            }
+        }
+        // Modifiers in front of `fn` / `impl` / `trait` belong to the item.
+        loop {
+            match ident_at(tokens, i) {
+                Some("pub") => {
+                    i += 1;
+                    if tok_at(tokens, i) == Some(&Tok::OpenParen) {
+                        i = skip_balanced(tokens, i, &Tok::OpenParen, &Tok::CloseParen);
+                    }
+                }
+                // `const` here only as a fn qualifier (`const fn`); the
+                // `const NAME: …` item form is handled below because no
+                // declaration keyword follows.
+                Some(w @ ("unsafe" | "async" | "const" | "default" | "extern"))
+                    if next_decl_follows(tokens, i, end) =>
+                {
+                    i += 1;
+                    if w == "extern" && tok_at(tokens, i) == Some(&Tok::Literal) {
+                        i += 1; // the ABI string in `extern "C" fn`
+                    }
+                }
+                _ => break,
             }
         }
         if i >= end {
@@ -196,24 +225,6 @@ fn parse_items(
             continue;
         };
         match word {
-            // Modifiers in front of `fn` / `impl` / `trait`.
-            "pub" => {
-                i += 1;
-                if tok_at(tokens, i) == Some(&Tok::OpenParen) {
-                    i = skip_balanced(tokens, i, &Tok::OpenParen, &Tok::CloseParen);
-                }
-            }
-            "unsafe" | "async" | "const" | "default" | "extern"
-                if next_decl_follows(tokens, i, end) =>
-            {
-                // `const` here only as a fn qualifier (`const fn`); the
-                // `const NAME: …` item form is handled below because no
-                // declaration keyword follows.
-                i += 1;
-                if word == "extern" && tok_at(tokens, i) == Some(&Tok::Literal) {
-                    i += 1; // the ABI string in `extern "C" fn`
-                }
-            }
             "fn" => {
                 i = parse_fn(tokens, i, item_test, owner, out);
             }
@@ -300,6 +311,9 @@ fn parse_items(
                 }
                 i = j.max(i + 1);
             }
+        }
+        if item_test && !in_test {
+            out.test_ranges.push((start, i));
         }
     }
 }
@@ -700,11 +714,21 @@ mod tests {
                 #[test]
                 fn checks() {}
             }
+            #[cfg(test)]
+            pub(crate) fn probe() {}
         "#;
-        let p = parse_src(src);
-        assert!(!p.fns[0].is_test);
-        assert!(p.fns[1].is_test);
-        assert!(p.fns[2].is_test);
+        let toks = lex(src).tokens;
+        let p = parse(&toks);
+        let marked: Vec<bool> = p.fns.iter().map(|f| f.is_test).collect();
+        assert_eq!(marked, [false, true, true, true]);
+        // One range per outermost test item, from its attribute to its end.
+        let pounds: Vec<usize> = (0..toks.len())
+            .filter(|&i| toks[i].tok == Tok::Pound)
+            .collect();
+        assert_eq!(
+            p.test_ranges,
+            [(pounds[0], pounds[2]), (pounds[2], toks.len())]
+        );
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! The determinism rule matchers.
 //!
-//! Every rule works on the token stream from [`crate::lexer`] with
-//! `#[cfg(test)]` / `#[test]` items stripped first: test code may use
-//! wall clocks, unwraps and hash iteration freely. Rules are scoped per
-//! file by [`scope_for`] — the simulation crates get the determinism
-//! rules, the bench harness gets D01 only, and everything else (bins,
-//! the linter itself) gets nothing.
+//! Every rule works on the token stream from [`crate::lexer`] without the
+//! `#[cfg(test)]` / `#[test]` items the parser found
+//! ([`ParsedFile::test_ranges`](crate::parse::ParsedFile::test_ranges)):
+//! test code may use wall clocks, unwraps and hash iteration freely. Rules
+//! are scoped per file by [`scope_for`] — the simulation crates get the
+//! determinism rules, the bench harness only the D10 flow pass, and
+//! everything else (bins, the linter itself) nothing.
 
-use crate::lexer::{ident_at, tok_at, Directive, Lexed, Tok, Token};
-use crate::parse::is_test_attr;
+use crate::lexer::{ident_at, tok_at, Directive, Tok, Token};
+use crate::symbols::FileUnit;
 
 /// Crates whose code runs inside the deterministic simulation.
 pub const SIM_CRATES: &[&str] = &[
@@ -105,9 +106,10 @@ pub fn scope_for(rel: &str) -> Scope {
     }
 }
 
-/// Runs every applicable rule over one lexed file, applying allow
-/// directives and reporting malformed ones.
-pub fn check_file(rel: &str, lexed: &Lexed) -> Vec<Violation> {
+/// Runs every applicable rule over one file, applying allow directives
+/// and reporting malformed ones.
+pub fn check_file(unit: &FileUnit) -> Vec<Violation> {
+    let (rel, lexed) = (unit.rel.as_str(), &unit.lexed);
     let scope = scope_for(rel);
     let mut out = Vec::new();
     // Malformed allows are reported everywhere, even out of scope: a
@@ -123,7 +125,13 @@ pub fn check_file(rel: &str, lexed: &Lexed) -> Vec<Violation> {
         }
     }
     if scope.any() {
-        let toks = strip_test_items(&lexed.tokens);
+        let mut toks = Vec::with_capacity(lexed.tokens.len());
+        let mut at = 0;
+        for &(start, end) in &unit.parsed.test_ranges {
+            toks.extend_from_slice(&lexed.tokens[at..start]);
+            at = end;
+        }
+        toks.extend_from_slice(&lexed.tokens[at..]);
         let mut raw = Vec::new();
         if scope.d01 {
             rule_d01(rel, &toks, &mut raw);
@@ -148,69 +156,6 @@ pub fn check_file(rel: &str, lexed: &Lexed) -> Vec<Violation> {
     }
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
-}
-
-/// Returns the token stream with `#[cfg(test)]` / `#[test]` items removed.
-///
-/// An "item" is everything from the attribute to either the matching close
-/// brace of its first open brace, or the first top-level `;` if no brace
-/// comes first (e.g. `#[cfg(test)] mod tests;`).
-fn strip_test_items(tokens: &[Token]) -> Vec<Token> {
-    let mut out = Vec::with_capacity(tokens.len());
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].tok == Tok::Pound && is_test_attr(tokens, i) {
-            i = skip_attributed_item(tokens, i);
-        } else {
-            out.push(tokens[i].clone());
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Skips from a test attribute's `#` past the end of the item it decorates
-/// (including any further attributes in between).
-fn skip_attributed_item(tokens: &[Token], mut i: usize) -> usize {
-    // Skip attributes: `#` `[` ... matching `]`, repeatedly.
-    while i < tokens.len() && tokens[i].tok == Tok::Pound {
-        i += 1; // `#`
-        if tokens.get(i).map(|t| &t.tok) == Some(&Tok::OpenBracket) {
-            let mut depth = 0i32;
-            while i < tokens.len() {
-                match tokens[i].tok {
-                    Tok::OpenBracket => depth += 1,
-                    Tok::CloseBracket => {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-        }
-    }
-    // Skip the item body: to the matching `}` of the first `{`, or to the
-    // first `;` seen before any `{`.
-    let mut depth = 0i32;
-    while i < tokens.len() {
-        match tokens[i].tok {
-            Tok::OpenBrace => depth += 1,
-            Tok::CloseBrace => {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            Tok::Other(';') if depth == 0 => return i + 1,
-            _ => {}
-        }
-        i += 1;
-    }
-    i
 }
 
 /// D01: wall-clock reads (`Instant::now`, any `SystemTime` use).
@@ -451,10 +396,9 @@ fn rule_t01(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     fn run(rel: &str, src: &str) -> Vec<Violation> {
-        check_file(rel, &lex(src))
+        check_file(&crate::load_unit(rel, src))
     }
 
     #[test]
@@ -480,6 +424,26 @@ mod tests {
     fn cfg_test_items_are_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); }\n}\n";
         assert!(run("crates/ignem/src/master.rs", src).is_empty());
+        // Each test item is skipped to its own end, and the item after it
+        // is still linted. A `#[cfg(test)]` struct field is not an item:
+        // the struct and everything after it are linted.
+        let d01 = |src: &str| -> Vec<u32> {
+            run("crates/simcore/src/fake.rs", src)
+                .iter()
+                .map(|v| v.line)
+                .collect()
+        };
+        let after = "\nfn f() { let t = Instant::now(); }\n";
+        for test_item in [
+            "struct S { #[cfg(test)] probe: u32, x: u32 }",
+            "#[cfg(test)]\nuse std::time::Instant;",
+            "#[cfg(test)]\nimpl S { fn now() -> u64 { Instant::now(); 0 } }",
+            "#[test]\nfn timed() { let t = Instant::now(); }",
+            "#[cfg(test)]\npub(crate) fn helper() { let t = Instant::now(); }",
+        ] {
+            let line = test_item.lines().count() as u32 + 1;
+            assert_eq!(d01(&format!("{test_item}{after}")), [line], "{test_item}");
+        }
     }
 
     #[test]

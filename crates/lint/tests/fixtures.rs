@@ -309,27 +309,3 @@ fn x01_allow_on_the_variant_line_suppresses() {
         vec![]
     );
 }
-
-#[test]
-fn filter_to_files_matches_the_full_run_on_the_subset() {
-    use std::collections::BTreeSet;
-    let a = "crates/simcore/src/fake_a.rs";
-    let b = "crates/simcore/src/fake_b.rs";
-    let mut violations = lint_source(a, &fixture("d01_violate.rs"));
-    violations.extend(lint_source(b, &fixture("d01_violate.rs")));
-    let full = ignem_lint::LintReport {
-        violations,
-        files_scanned: 2,
-    };
-    let subset: BTreeSet<String> = [a.to_string()].into();
-    let narrowed = full.filter_to_files(&subset);
-    let expected: Vec<_> = full
-        .violations
-        .iter()
-        .filter(|v| v.file == a)
-        .cloned()
-        .collect();
-    assert!(!expected.is_empty());
-    assert_eq!(narrowed.violations, expected);
-    assert_eq!(narrowed.files_scanned, full.files_scanned);
-}

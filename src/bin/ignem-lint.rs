@@ -4,38 +4,29 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --bin ignem-lint [-- [--json-out PATH] [--sarif-out PATH]
-//!     [--baseline PATH] [--changed]]
+//! cargo run --bin ignem-lint [-- [--json-out PATH] [--sarif-out PATH]]
 //! ```
 //!
 //! * `--json-out PATH` sets where the JSON report is written; default
 //!   `target/ignem-lint-report.json`.
 //! * `--sarif-out PATH` additionally writes a SARIF 2.1.0 report.
-//! * `--baseline PATH` compares findings against a committed baseline:
-//!   findings not in the baseline fail the build (regressions), and so do
-//!   baseline entries that no longer fire (stale-baseline guard).
-//! * `--changed` narrows *reporting* (and the exit code, when no baseline
-//!   is given) to files touched per `git diff --name-only HEAD`; analysis
-//!   still runs over the whole workspace so cross-crate passes stay sound.
+//!
+//! Analysis always covers the whole workspace, and any finding fails the
+//! run.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 
 struct Args {
     json_out: Option<PathBuf>,
     sarif_out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    changed: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         json_out: None,
         sarif_out: None,
-        baseline: None,
-        changed: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -46,44 +37,10 @@ fn parse_args() -> Result<Args, String> {
             "--sarif-out" => {
                 args.sarif_out = Some(it.next().ok_or("--sarif-out needs a path")?.into());
             }
-            "--baseline" => {
-                args.baseline = Some(it.next().ok_or("--baseline needs a path")?.into());
-            }
-            "--changed" => args.changed = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok(args)
-}
-
-/// Files touched relative to HEAD (staged, unstaged, and untracked), as
-/// workspace-relative paths.
-fn changed_files(root: &std::path::Path) -> Result<BTreeSet<String>, String> {
-    let mut files = BTreeSet::new();
-    for extra in [
-        &["diff", "--name-only", "HEAD"][..],
-        &["ls-files", "--others", "--exclude-standard"][..],
-    ] {
-        let out = Command::new("git")
-            .args(extra)
-            .current_dir(root)
-            .output()
-            .map_err(|e| format!("git failed to start: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "git {} failed: {}",
-                extra.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            ));
-        }
-        for line in String::from_utf8_lossy(&out.stdout).lines() {
-            let line = line.trim();
-            if !line.is_empty() {
-                files.insert(line.to_string());
-            }
-        }
-    }
-    Ok(files)
 }
 
 fn main() -> ExitCode {
@@ -101,23 +58,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let full = match ignem_lint::run_analysis(&root) {
+    let report = match ignem_lint::run_analysis(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ignem-lint: scan failed: {e}");
             return ExitCode::FAILURE;
         }
-    };
-    let report = if args.changed {
-        match changed_files(&root) {
-            Ok(files) => full.filter_to_files(&files),
-            Err(e) => {
-                eprintln!("ignem-lint: --changed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        full
     };
     for v in &report.violations {
         eprintln!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
@@ -147,49 +93,6 @@ fn main() -> ExitCode {
         report.violations.len(),
         json_path.display()
     );
-    // Baseline mode: the exit status reflects the diff, both directions.
-    if let Some(baseline_path) = &args.baseline {
-        let text = match fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "ignem-lint: cannot read baseline {}: {e}",
-                    baseline_path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match ignem_lint::parse_baseline(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("ignem-lint: bad baseline: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let diff = ignem_lint::baseline_diff(&report, &baseline);
-        for v in &diff.new {
-            eprintln!(
-                "ignem-lint: NEW finding not in baseline: {}:{} [{}] {}",
-                v.file, v.line, v.rule, v.message
-            );
-        }
-        for b in &diff.stale {
-            eprintln!(
-                "ignem-lint: STALE baseline entry (no longer fires — remove it): \
-                 {}:{} [{}]",
-                b.file, b.line, b.rule
-            );
-        }
-        return if diff.is_clean() {
-            println!(
-                "ignem-lint: baseline check clean ({} accepted finding(s))",
-                baseline.len()
-            );
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {
